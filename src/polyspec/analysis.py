@@ -189,14 +189,10 @@ def classify(normalized_lambda: float, kind: PolyhedronKind,
         raise ValueError("normalized eigenvalue must be >= 0")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    lines = exact_spectrum(kind, normalized_lambda + tol + 1.0)
-    best = None
-    for line in lines:
-        dist = abs(float(line.value) - normalized_lambda)
-        if best is None or dist < best[0]:
-            best = (dist, line)
-    if best is not None and best[0] <= tol:
-        line = best[1]
+    # the spectrum always holds 0; min keeps the first of equally near lines
+    line = min(exact_spectrum(kind, normalized_lambda + tol + 1.0),
+               key=lambda sl: abs(float(sl.value) - normalized_lambda))
+    if abs(float(line.value) - normalized_lambda) <= tol:
         return Classification(label="nonsingular", value=line.value,
                               witness=line.witness, tag=line.tag)
     return Classification(label="singular", value=None, witness=None, tag=None)

@@ -90,6 +90,34 @@ def _cube_signs(sym_type):
 # lattice counting
 
 
+def _sweep(nmax: int, square: bool = False):
+    """Norms and orbits of every canonical k >= j >= 0 with Q(k, j) <= nmax.
+
+    Q is k^2 + kj + j^2 (hexagonal) or k^2 + j^2 (square).  Returns int
+    arrays (q, k, j) in k-major order, i.e. lexicographic in (k, j).
+    """
+    k, j = np.tril_indices(math.isqrt(nmax) + 1)
+    q = k * k + j * j + (0 if square else k * j)
+    keep = q <= nmax
+    return q[keep], k[keep], j[keep]
+
+
+def _orbit_size(k, j):
+    # eigenfunctions per hexagonal orbit: half of its 12 lattice points, or of
+    # 6 when j = 0 or j = k; the constant counts once
+    return np.where(k == 0, 1, np.where((j == 0) | (j == k), 3, 6))
+
+
+def _first_orbits(q, k, j):
+    """Distinct norms, ascending, with the smallest (k, j) of each.
+
+    np.unique reports the first occurrence of each norm, which is the
+    lexicographically smallest orbit because the sweep is k-major.
+    """
+    norms, first = np.unique(q, return_index=True)
+    return norms.tolist(), list(zip(k[first].tolist(), j[first].tolist()))
+
+
 def hexagonal_multiplicity(n: int) -> int:
     """Number of eigenfunctions of the hexagonal form with j^2+k^2+jk = n.
 
@@ -98,43 +126,19 @@ def hexagonal_multiplicity(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    bound = int(math.isqrt(4 * n)) + 1
-    count = 0
-    for j in range(-bound, bound + 1):
-        for k in range(-bound, bound + 1):
-            if (j or k) and j * j + k * k + j * k == n:
-                count += 1
-    assert count % 2 == 0
-    return count // 2
-
-
-def _orbit_witness(n: int, even_only: bool = False):
-    """Smallest (k, j) with k >= j >= 0 and k^2 + j^2 + kj = n, or None."""
-    bound = int(math.isqrt(n)) + 1
-    best = None
-    for k in range(bound + 1):
-        for j in range(k + 1):
-            if k * k + j * j + k * j == n:
-                if even_only and (k % 2 or j % 2):
-                    continue
-                cand = (k, j)
-                if best is None or cand < best:
-                    best = cand
-    return best
+    q, k, j = _sweep(n)
+    return int(_orbit_size(k, j)[q == n].sum())
 
 
 def torus_count(t: float) -> int:
     """Number of torus eigenvalues (with multiplicity) not exceeding t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    tn = t / TRIANGLE_NORMALIZER
-    bound = int(math.ceil(2.0 * math.sqrt(tn))) + 1
-    j = np.arange(-bound, bound + 1)
-    jj, kk = np.meshgrid(j, j, indexing="ij")
-    norms = (jj * jj + kk * kk + jj * kk) * TRIANGLE_NORMALIZER
-    return int(np.count_nonzero(norms <= t))
+    q, k, j = _sweep(int(t / TRIANGLE_NORMALIZER) + 1)
+    # compare the products, not q against t / normalizer: at t = n * normalizer
+    # the quotient can round below n
+    keep = q * TRIANGLE_NORMALIZER <= t
+    return 2 * int(_orbit_size(k[keep], j[keep]).sum()) - 1
 
 
 def tetra_count_exact(t: float) -> int:
@@ -158,80 +162,42 @@ class SpectrumLine:
     witness: tuple | None
 
 
-def _loeschian_upto(nmax: int):
-    out = []
-    for n in range(nmax + 1):
-        w = _orbit_witness(n)
-        if w is not None:
-            out.append((n, w))
-    return out
-
-
-def _tetra_lines(nmax: int):
-    # one vectorized lattice sweep: multiplicities by bincount, witnesses by
-    # first canonical (k >= j >= 0) hit in ascending order
-    bound = int(math.isqrt(2 * nmax)) + 2
-    r = np.arange(-bound, bound + 1)
-    jj, kk = np.meshgrid(r, r, indexing="ij")
-    norms = jj * jj + kk * kk + jj * kk
-    mask = (norms <= nmax)
-    counts = np.bincount(norms[mask].ravel(), minlength=nmax + 1)
-    witness = {}
-    cmax = int(math.isqrt(nmax)) + 1
-    for k in range(cmax + 1):
-        for j in range(k + 1):
-            n = k * k + j * j + k * j
-            if n <= nmax and n not in witness:
-                witness[n] = (k, j)
-    lines = [SpectrumLine(Fraction(0), 1, "hexLattice", (0, 0))]
-    for n in range(1, nmax + 1):
-        if counts[n]:
-            lines.append(SpectrumLine(Fraction(n), int(counts[n]) // 2,
-                                      "hexLattice", witness[n]))
-    return lines
-
-
 def exact_spectrum(kind: PolyhedronKind, nmax: float):
     """Known analytic (nonsingular) normalized eigenvalues up to nmax.
 
     Tetrahedron: the full spectrum with exact multiplicities.  Octahedron:
     the even-orbit values and their thirds (membership only).  Icosahedron:
     the even-orbit values.  Cube: j^2 + k^2 with j, k of equal parity.
+    Each witness is the smallest admissible (k, j) with k >= j >= 0.
     """
     if nmax <= 0:
         raise ValueError("nmax must be > 0")
-    lines = []
     if kind is PolyhedronKind.TETRAHEDRON:
-        lines = _tetra_lines(int(math.floor(nmax)))
-    elif kind in (PolyhedronKind.OCTAHEDRON, PolyhedronKind.ICOSAHEDRON):
-        direct = {}
-        for m, _ in _loeschian_upto(int(math.floor(nmax / 4)) + 1):
-            n = 4 * m
-            if n <= nmax:
-                direct[Fraction(n)] = SpectrumLine(
-                    Fraction(n), 1, "hexLattice", _orbit_witness(n, True))
-        lines.extend(direct.values())
-        if kind is PolyhedronKind.OCTAHEDRON:
-            for m, _ in _loeschian_upto(int(math.floor(3 * nmax / 4)) + 1):
-                n = 4 * m
-                val = Fraction(n, 3)
-                if val <= nmax and val not in direct:
-                    lines.append(SpectrumLine(val, 1, "third",
-                                              _orbit_witness(n, True)))
-    elif kind is PolyhedronKind.CUBE:
-        seen = {}
-        kmax = int(math.isqrt(int(nmax))) + 1
-        for k in range(kmax + 1):
-            for j in range(k + 1):
-                if (k - j) % 2:
-                    continue
-                n = k * k + j * j
-                if n <= nmax and n not in seen:
-                    seen[n] = SpectrumLine(Fraction(n), 1, "squareLattice",
-                                           (k, j))
-        lines.extend(seen.values())
-    else:
+        q, k, j = _sweep(math.floor(nmax))
+        mult = np.bincount(q, weights=_orbit_size(k, j)).astype(np.int64)
+        return [SpectrumLine(Fraction(n), int(mult[n]), "hexLattice", w)
+                for n, w in zip(*_first_orbits(q, k, j))]
+    if kind is PolyhedronKind.CUBE:
+        q, k, j = _sweep(math.floor(nmax), square=True)
+        same = (k - j) % 2 == 0
+        return [SpectrumLine(Fraction(n), 1, "squareLattice", w)
+                for n, w in zip(*_first_orbits(q[same], k[same], j[same]))]
+    if kind not in (PolyhedronKind.OCTAHEDRON, PolyhedronKind.ICOSAHEDRON):
         raise ValueError(f"unhandled kind {kind}")
+    # an even orbit 2(k, j) has value 4m with m = Q(k, j); the octahedron adds
+    # 4m/3, except when 3 | m, where 4m/3 is itself a direct value; both
+    # bounds on m are exact, so a float nmax rounds no line in or out
+    direct = math.floor(nmax) // 4
+    third = 3 * Fraction(nmax) // 4 if kind is PolyhedronKind.OCTAHEDRON \
+        else -1
+    lines = []
+    for m, (k, j) in zip(*_first_orbits(*_sweep(max(direct, third)))):
+        if m <= direct:
+            lines.append(SpectrumLine(Fraction(4 * m), 1, "hexLattice",
+                                      (2 * k, 2 * j)))
+        if m <= third and m % 3:
+            lines.append(SpectrumLine(Fraction(4 * m, 3), 1, "third",
+                                      (2 * k, 2 * j)))
     lines.sort(key=lambda sl: sl.value)
     return lines
 
@@ -574,26 +540,18 @@ def mirror_lines(f: TrigEigenfunction):
 @lru_cache(maxsize=None)
 def admissible_orbits(kind: PolyhedronKind, nmax: int):
     """All admissible (sym_type, orbit) pairs with normalized value <= nmax."""
-    out = []
-    if kind is PolyhedronKind.CUBE:
-        types = (SymmetryType.PP, SymmetryType.MM, SymmetryType.PM,
-                 SymmetryType.MP)
-    elif kind is PolyhedronKind.OCTAHEDRON:
-        types = (SymmetryType.PP, SymmetryType.MM, SymmetryType.PM,
-                 SymmetryType.MP)
-    else:
+    if kind in (PolyhedronKind.TETRAHEDRON, PolyhedronKind.ICOSAHEDRON):
         types = (SymmetryType.ONE_PLUS, SymmetryType.ONE_MINUS)
-    kmax = int(math.isqrt(nmax)) + 1
-    for k in range(kmax + 1):
-        for j in range(k + 1):
-            n = k * k + j * j if kind is PolyhedronKind.CUBE \
-                else k * k + j * j + k * j
-            if n > nmax:
+    else:
+        types = (SymmetryType.PP, SymmetryType.MM, SymmetryType.PM,
+                 SymmetryType.MP)
+    _, ks, js = _sweep(nmax, square=kind is PolyhedronKind.CUBE)
+    out = []
+    for orbit in zip(ks.tolist(), js.tolist()):
+        for t in types:
+            try:
+                build_trig_eigenfunction(kind, t, orbit)
+            except InadmissibleOrbitError:
                 continue
-            for t in types:
-                try:
-                    build_trig_eigenfunction(kind, t, (k, j))
-                except InadmissibleOrbitError:
-                    continue
-                out.append((t, (k, j)))
+            out.append((t, orbit))
     return tuple(out)

@@ -8,6 +8,7 @@ significant digits.  Exit status: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -114,12 +115,33 @@ def _cmd_analytic(args) -> int:
 
 
 def _read_solve_csv(path):
+    """Data rows of an index,lambda,normalized file, split into fields.
+
+    Raises PolyspecError naming the file and line when the header is wrong,
+    there are no data rows, or a row's first three fields are not finite
+    numbers.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:3] != ["index", "lambda", "normalized"]:
             raise PolyspecError(f"{path}: expected an index,lambda,normalized "
                                 "file")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = line.strip().split(",")
+            try:
+                ok = len(row) >= 3 and all(math.isfinite(float(x))
+                                           for x in row[:3])
+            except ValueError:
+                ok = False
+            if not ok:
+                raise PolyspecError(f"{path}, line {lineno}: expected three "
+                                    f"numbers, got {line.strip()!r}")
+            rows.append(row)
+    if not rows:
+        raise PolyspecError(f"{path}: no data rows")
     return rows
 
 
@@ -127,8 +149,8 @@ def _cmd_extrapolate(args) -> int:
     triples = [_read_solve_csv(p) for p in args.infiles]
     n = min(len(t) for t in triples)
     rows = ["index,lambda,normalized"]
-    ratio = float(triples[0][1][2]) / float(triples[0][1][1]) \
-        if float(triples[0][1][1]) else 1.0
+    first = next((row for row in triples[0] if float(row[1])), None)
+    ratio = float(first[2]) / float(first[1]) if first else 1.0
     for i in range(n):
         vals = [float(t[i][1]) for t in triples]
         lam = analysis.aitken_extrapolate(*vals)

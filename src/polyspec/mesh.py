@@ -3,9 +3,9 @@
 A mesh at resolution r subdivides every unit edge into r intervals.  Planar
 grid points are generated per face in exact integer coordinates (the face
 corner coordinates scaled by r), deduplicated globally, and then boundary grid
-points related by an edge glue are merged into shared degrees of freedom with
-a union-find pass.  The result is a triangulation of the closed surface with
-no boundary.
+points related by an edge glue are merged into shared degrees of freedom,
+one per connected component of the glue graph.  The result is a
+triangulation of the closed surface with no boundary.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import OutOfDomainError
 from .net import SQRT3, PolyhedronKind, PolyhedronNet, build_net
@@ -43,7 +45,6 @@ class SurfaceMesh:
     elements: np.ndarray             # (E, 3) int64, planar vertex indices
     dof_count: int
     planar_count: int
-    _face_vertex_ids: tuple          # per face: (r+1)-grid -> planar vertex id
     _face_element_start: tuple
 
     @property
@@ -59,11 +60,12 @@ def _tri_row_start(r: int):
     row_start = np.zeros(r + 2, dtype=np.int64)
     for i in range(r + 1):
         row_start[i + 1] = row_start[i] + (r + 1 - i)
-    return row_start, int(row_start[r + 1])
+    return row_start
 
 
 def _tri_face_points(corners, r):
-    # integer grid points A*(r-i-j) + B*i + C*j over i + j <= r
+    # integer grid points A*(r-i-j) + B*i + C*j over i + j <= r, listed row
+    # by row, so the point (i, j) has local grid id row_start[i] + j
     (a0, a1), (b0, b1), (c0, c1) = corners
     ii, jj = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
     mask = (ii + jj) <= r
@@ -72,7 +74,7 @@ def _tri_face_points(corners, r):
     k = r - i - j
     s = a0 * k + b0 * i + c0 * j
     t = a1 * k + b1 * i + c1 * j
-    return i, j, np.column_stack([s, t]).astype(np.int64)
+    return np.column_stack([s, t]).astype(np.int64)
 
 
 def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
@@ -92,7 +94,6 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
     is_cube = net.kind is PolyhedronKind.CUBE
 
     all_pts = []
-    per_face_local = []
     for f in net.faces:
         if is_cube:
             (a0, b0) = f.corners[0]
@@ -100,30 +101,16 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
                                  indexing="ij")
             pts = np.column_stack([(a0 * r + ii).ravel(),
                                    (b0 * r + jj).ravel()]).astype(np.int64)
-            per_face_local.append(None)
         else:
-            i, j, pts = _tri_face_points(f.corners, r)
-            per_face_local.append((i, j))
+            pts = _tri_face_points(f.corners, r)
         all_pts.append(pts)
     stacked = np.concatenate(all_pts, axis=0)
     unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
     planar_count = len(unique)
 
     # per-face local grid id -> planar vertex id
-    face_vertex_ids = []
-    offset = 0
-    for f, pts in zip(net.faces, all_pts):
-        n = len(pts)
-        ids = inverse[offset:offset + n]
-        offset += n
-        if is_cube:
-            face_vertex_ids.append(ids.reshape(r + 1, r + 1))
-        else:
-            row_start, total = _tri_row_start(r)
-            grid = np.full(total, -1, dtype=np.int64)
-            i, j = per_face_local[f.index]
-            grid[row_start[i] + j] = ids
-            face_vertex_ids.append(grid)
+    face_vertex_ids = np.split(inverse,
+                               np.cumsum([len(pts) for pts in all_pts])[:-1])
 
     # elements
     elements = []
@@ -133,6 +120,7 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
         face_element_start.append(nel)
         ids = face_vertex_ids[f.index]
         if is_cube:
+            ids = ids.reshape(r + 1, r + 1)
             v00 = ids[:-1, :-1].ravel()
             v10 = ids[1:, :-1].ravel()
             v11 = ids[1:, 1:].ravel()
@@ -146,7 +134,7 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
             elements.append(tris)
             nel += len(tris)
         else:
-            row_start, _ = _tri_row_start(r)
+            row_start = _tri_row_start(r)
             tris = np.empty((r * r, 3), dtype=np.int64)
             pos = 0
             for i in range(r):
@@ -175,52 +163,35 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
         t = unique[:, 1].astype(np.float64)
         xy = np.column_stack([(s + 0.5 * t) / r, t * (SQRT3 / 2) / r])
 
-    # union-find over glued boundary grid points
-    parent = np.arange(planar_count, dtype=np.int64)
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    # glued boundary grid points share a DOF: connected components of the
+    # glue graph, labelled in order of first occurrence
     key_off = int(unique.min()) - 1
     key_mul = int(unique.max()) - key_off + 1
     keys = (unique[:, 0] - key_off) * key_mul + (unique[:, 1] - key_off)
     order = np.argsort(keys)
     sorted_keys = keys[order]
 
-    def point_id(pt):
-        k = (pt[0] - key_off) * key_mul + (pt[1] - key_off)
-        pos = np.searchsorted(sorted_keys, k)
-        assert sorted_keys[pos] == k, "glue point is not a grid point"
-        return int(order[pos])
-
+    steps = np.arange(r + 1)[:, None]
+    ends_a, ends_b = [], []
     for g in net.identifications:
-        fa, fb = net.faces[g.face_a], net.faces[g.face_b]
-        (pa0, pa1) = fa.edge_corners(g.edge_a)
-        (pb0, pb1) = fb.edge_corners(g.edge_b)
+        (pa0, pa1) = net.faces[g.face_a].edge_corners(g.edge_a)
+        (pb0, pb1) = net.faces[g.face_b].edge_corners(g.edge_b)
         if g.orientation == "reversed":
             pb0, pb1 = pb1, pb0
-        a0 = np.array(pa0, dtype=np.int64) * r
-        da = np.array(pa1, dtype=np.int64) - np.array(pa0, dtype=np.int64)
-        b0 = np.array(pb0, dtype=np.int64) * r
-        db = np.array(pb1, dtype=np.int64) - np.array(pb0, dtype=np.int64)
-        for i in range(r + 1):
-            ia = point_id(a0 + da * i)
-            ib = point_id(b0 + db * i)
-            ra, rb = find(ia), find(ib)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    roots = np.array([find(i) for i in range(planar_count)], dtype=np.int64)
-    uniq_roots, first_pos = np.unique(roots, return_index=True)
-    rank = np.argsort(np.argsort(first_pos))
-    remap = dict(zip(uniq_roots.tolist(), rank.tolist()))
-    dof_of = np.array([remap[int(x)] for x in roots], dtype=np.int64)
-    dof_count = len(uniq_roots)
+        a0, a1, b0, b1 = (np.array(p, dtype=np.int64)
+                          for p in (pa0, pa1, pb0, pb1))
+        ends_a.append(a0 * r + (a1 - a0) * steps)
+        ends_b.append(b0 * r + (b1 - b0) * steps)
+    glued = np.concatenate(ends_a + ends_b)
+    glue_keys = (glued[:, 0] - key_off) * key_mul + (glued[:, 1] - key_off)
+    pos = np.minimum(np.searchsorted(sorted_keys, glue_keys), planar_count - 1)
+    assert np.array_equal(sorted_keys[pos], glue_keys), \
+        "glue point is not a grid point"
+    ids = order[pos].reshape(2, -1)
+    graph = coo_matrix((np.ones(ids.shape[1]), (ids[0], ids[1])),
+                       shape=(planar_count, planar_count))
+    dof_count, dof_of = connected_components(graph, directed=False)
+    dof_of = dof_of.astype(np.int64)
 
     return SurfaceMesh(
         net=net,
@@ -231,7 +202,6 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
         elements=elements,
         dof_count=dof_count,
         planar_count=planar_count,
-        _face_vertex_ids=tuple(face_vertex_ids),
         _face_element_start=tuple(face_element_start),
     )
 

@@ -98,6 +98,58 @@ def test_exact_spectrum_cube():
     assert 5 not in vals
 
 
+def _brute_force_spectrum(kind, nmax):
+    # value -> [tag, multiplicity, witness] by direct double loops: every
+    # lattice point for the tetrahedron's multiplicities, canonical
+    # k >= j >= 0 in increasing (k, j) order for the witnesses
+    bound = 2 * math.isqrt(3 * math.ceil(nmax)) + 2
+    out = {}
+    if kind is PolyhedronKind.TETRAHEDRON:
+        for a in range(-bound, bound + 1):
+            for b in range(-bound, bound + 1):
+                n = a * a + a * b + b * b
+                if n <= nmax:
+                    out.setdefault(Fraction(n), ["hexLattice", 0, None])[1] += 1
+        for line in out.values():
+            line[1] = max(1, line[1] // 2)
+    for k in range(bound + 1):
+        for j in range(k + 1):
+            if kind is PolyhedronKind.CUBE:
+                n = k * k + j * j
+                if (k - j) % 2 == 0 and n <= nmax:
+                    out.setdefault(Fraction(n), ["squareLattice", 1, (k, j)])
+            elif kind is PolyhedronKind.TETRAHEDRON:
+                n = k * k + k * j + j * j
+                if n <= nmax and out[Fraction(n)][2] is None:
+                    out[Fraction(n)][2] = (k, j)
+            elif k % 2 == 0 and j % 2 == 0:
+                n = k * k + k * j + j * j
+                if n <= nmax:
+                    out.setdefault(Fraction(n), ["hexLattice", 1, (k, j)])
+    if kind is PolyhedronKind.OCTAHEDRON:
+        # thirds of the even-orbit values that are not direct values
+        for k in range(0, bound + 1, 2):
+            for j in range(0, k + 1, 2):
+                third = Fraction(k * k + k * j + j * j, 3)
+                if third <= nmax:
+                    out.setdefault(third, ["third", 1, (k, j)])
+    return out
+
+
+@pytest.mark.parametrize("kind", list(PolyhedronKind))
+@pytest.mark.parametrize("nmax", [37.5, 400])
+def test_exact_spectrum_against_brute_force(kind, nmax):
+    want = _brute_force_spectrum(kind, nmax)
+    lines = ps.exact_spectrum(kind, nmax)
+    assert [line.value for line in lines] == sorted(want)
+    for line in lines:
+        tag, multiplicity, witness = want[line.value]
+        assert (line.tag, line.multiplicity) == (tag, multiplicity)
+        # the smallest canonical orbit of the value: even for the octahedron
+        # and icosahedron, of equal parity for the cube
+        assert line.witness == witness
+
+
 def test_torus_counting_examples():
     assert ps.torus_count(0) == 1
     assert ps.tetra_count_exact(0) == 1

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -88,6 +90,37 @@ def test_extrapolate_pipeline(tmp_path):
     lines = out.read_text().strip().split("\n")
     lam1 = float(lines[2].split(",")[1])
     assert abs(lam1 / ND - 1.0) < 2e-3
+
+
+def test_extrapolate_one_row_files(tmp_path):
+    files = []
+    for r, lam in ((8, "9.0"), (16, "8.5"), (32, "8.25")):
+        f = tmp_path / f"r{r}.csv"
+        f.write_text(f"index,lambda,normalized\n0,{lam},{lam}\n")
+        files.append(str(f))
+    out = tmp_path / "x.csv"
+    assert run(["extrapolate", "--in", *files, "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 2
+    assert float(lines[1].split(",")[1]) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("", None),
+    ("0,0,0\n1,79.0\n", 3),
+    ("0,0,0\n\n1,79.0,x\n", 4),
+], ids=["no_data_rows", "short_row", "non_numeric_field"])
+def test_malformed_solve_csv_exits_1(tmp_path, capsys, body, line):
+    src = tmp_path / "e.csv"
+    src.write_text("index,lambda,normalized\n" + body)
+    for args in (["classify", "--in", str(src), "--polyhedron", "cube"],
+                 ["extrapolate", "--in", str(src), str(src), str(src)]):
+        assert run(args + ["--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert str(src) in err and "Traceback" not in err
+        if line is not None:
+            assert f"line {line}" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_count_exact_and_fem(tmp_path):
@@ -204,3 +237,15 @@ def test_all_numbers_have_17_significant_digits(tmp_path):
                 "--num-eigs", "3", "--out", str(out)]) == 0
     row = out.read_text().strip().split("\n")[2].split(",")
     assert len(row[1].replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-m", "polyspec", "mesh",
+                           "--polyhedron", "cube", "--resolution", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "dofCount 26" in done.stdout.split("\n")

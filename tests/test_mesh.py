@@ -117,6 +117,17 @@ def test_dof_count_union_find_oracle(kind, bench):
             union(keyof(pa), keyof(pb))
     classes = {find(k) for k in list(parent)}
     assert len(classes) == mesh.dof_count
+    # the partition itself: two planar vertices share a DOF exactly when the
+    # oracle puts them in one class
+    class_of_dof = {}
+    dof_of_class = {}
+    for p, dof in zip(mesh.planar_vertices, mesh.dof_of.tolist()):
+        cls = find(keyof(p))
+        assert class_of_dof.setdefault(dof, cls) == cls
+        assert dof_of_class.setdefault(cls, dof) == dof
+    # DOF ids are numbered in order of first occurrence
+    _, first = np.unique(mesh.dof_of, return_index=True)
+    assert np.all(np.diff(first) > 0)
 
 
 def test_locate_centroid(bench):
