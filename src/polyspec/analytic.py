@@ -32,6 +32,10 @@ V_VEC = (0.0, SQRT3 / 3.0)
 TRIANGLE_NORMALIZER = 4.0 * math.pi ** 2 / 3.0
 SQUARE_NORMALIZER = math.pi ** 2
 
+# largest normalized bound the lattice side accepts; exact_spectrum stays
+# well under a second up to here for every kind
+LATTICE_LIMIT = 1e5
+
 _FOLD_EPS = 1e-12
 _MAX_FOLDS = 4096
 
@@ -90,6 +94,12 @@ def _cube_signs(sym_type):
 # lattice counting
 
 
+def _check_bound(bound):
+    if not bound <= LATTICE_LIMIT:     # also rejects nan
+        raise ValueError(f"normalized bound must be finite and at most "
+                         f"{LATTICE_LIMIT:g}, got {bound:g}")
+
+
 def _sweep(nmax: int, square: bool = False):
     """Norms and orbits of every canonical k >= j >= 0 with Q(k, j) <= nmax.
 
@@ -131,9 +141,13 @@ def hexagonal_multiplicity(n: int) -> int:
 
 
 def torus_count(t: float) -> int:
-    """Number of torus eigenvalues (with multiplicity) not exceeding t."""
+    """Number of torus eigenvalues (with multiplicity) not exceeding t.
+
+    Raises ValueError unless 0 <= t / TRIANGLE_NORMALIZER <= LATTICE_LIMIT.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
+    _check_bound(t / TRIANGLE_NORMALIZER)
     q, k, j = _sweep(int(t / TRIANGLE_NORMALIZER) + 1)
     # compare the products, not q against t / normalizer: at t = n * normalizer
     # the quotient can round below n
@@ -169,9 +183,11 @@ def exact_spectrum(kind: PolyhedronKind, nmax: float):
     the even-orbit values and their thirds (membership only).  Icosahedron:
     the even-orbit values.  Cube: j^2 + k^2 with j, k of equal parity.
     Each witness is the smallest admissible (k, j) with k >= j >= 0.
+    Raises ValueError unless 0 < nmax <= LATTICE_LIMIT.
     """
     if nmax <= 0:
         raise ValueError("nmax must be > 0")
+    _check_bound(nmax)
     if kind is PolyhedronKind.TETRAHEDRON:
         q, k, j = _sweep(math.floor(nmax))
         mult = np.bincount(q, weights=_orbit_size(k, j)).astype(np.int64)
@@ -202,7 +218,7 @@ def exact_spectrum(kind: PolyhedronKind, nmax: float):
     return lines
 
 
-def exact_tetra_eigenvalues(nmax: int) -> np.ndarray:
+def exact_tetra_eigenvalues(nmax: float) -> np.ndarray:
     """Raw tetrahedron eigenvalues (with multiplicity) up to normalized nmax."""
     vals = []
     for line in exact_spectrum(PolyhedronKind.TETRAHEDRON, nmax):

@@ -166,9 +166,11 @@ def _cmd_count(args) -> int:
             raise PolyspecError("exact counting series exist for the "
                                 "tetrahedron only")
         nmax_needed = analysis.normalize(args.tmax ** 2, kind) + 8
-        nmax = min(nmax_needed, 1e5)
+        nmax = min(nmax_needed, analytic.LATTICE_LIMIT)
         nmax = max(nmax, analysis.normalize(args.tmax, kind) + 1)
-        ev = analytic.exact_tetra_eigenvalues(int(np.ceil(nmax)))
+        # a non-finite or too large bound stays a float, so exact_spectrum
+        # rejects it with a ValueError
+        ev = analytic.exact_tetra_eigenvalues(np.ceil(nmax))
         series = analysis.make_counting_series(kind, ev)
     else:
         _, _, _, pairs = _solve_pairs(kind, args.resolution, args.num_eigs,
@@ -320,3 +322,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

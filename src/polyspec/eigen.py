@@ -1,10 +1,11 @@
 """Generalized symmetric eigensolvers for the pencil K u = lambda M u.
 
 solve_lowest targets the m smallest eigenvalues with shift-invert Lanczos
-(ARPACK via scipy), seeded for reproducibility; dense_solve is the
-full-spectrum direct oracle for small problems.  Both return M-normalized
-eigenvectors with a deterministic sign convention and verify a residual
-contract.
+(ARPACK via scipy), seeded for reproducibility; K - sigma M is factored once
+with a symmetric minimum-degree ordering and every Lanczos step reuses that
+factor.  dense_solve is the full-spectrum direct oracle for small problems.
+Both return M-normalized eigenvectors with a deterministic sign convention
+and verify a residual contract.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     Raises
     ------
     NoConvergenceError
-        If the residual contract cannot be met within the iteration budget.
+        If the residual contract cannot be met within the iteration budget;
+        its ``iterations`` counts the shift-invert operator applications.
     """
     n = K.shape[0]
     if not 1 <= m <= n:
@@ -109,22 +111,35 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     v0 = rng.standard_normal(n)
     if maxiter is None:
         maxiter = max(1000, 500 * m)
+    # K - sigma M is SPD for sigma < 0, so diagonal pivots are stable and a
+    # symmetric minimum-degree ordering roughly halves the factor's fill
+    lu = spla.splu(sparse.csc_matrix(K - _SHIFT * M),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    applications = 0
+
+    def apply_inverse(x):
+        nonlocal applications
+        applications += 1
+        return lu.solve(x)
+
+    OPinv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     try:
         # ARPACK runs at machine precision: a looser inner tolerance lets the
         # iteration stop before resolving all copies of a degenerate cluster
-        vals, vecs = spla.eigsh(K, k=m, M=M, sigma=_SHIFT, v0=v0,
+        vals, vecs = spla.eigsh(K, k=m, M=M, sigma=_SHIFT, OPinv=OPinv, v0=v0,
                                 maxiter=maxiter, tol=0.0)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(
             f"ARPACK did not converge within {maxiter} iterations",
-            iterations=maxiter,
+            iterations=applications,
             worst_residual=None) from exc
     pairs = _postprocess(vals, vecs, M, tol)
     worst = max(residual(K, M, p) for p in pairs)
     if worst > tol:
         raise NoConvergenceError(
             f"residual contract violated: worst residual {worst:.3e} > {tol:.3e}",
-            iterations=maxiter, worst_residual=worst)
+            iterations=applications, worst_residual=worst)
     return pairs
 
 

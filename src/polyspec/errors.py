@@ -18,7 +18,11 @@ class DegenerateElementError(PolyspecError):
 
 
 class NoConvergenceError(PolyspecError):
-    """The iterative eigensolver could not meet the residual contract."""
+    """The iterative eigensolver could not meet the residual contract.
+
+    ``iterations`` is the number of operator applications (solves with the
+    factored K - sigma M) made before the failure.
+    """
 
     def __init__(self, message, iterations=None, worst_residual=None):
         super().__init__(message)

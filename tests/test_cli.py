@@ -123,6 +123,24 @@ def test_malformed_solve_csv_exits_1(tmp_path, capsys, body, line):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["analytic", "--polyhedron", "octahedron", "--nmax", "inf"],
+    ["analytic", "--polyhedron", "octahedron", "--nmax", "nan"],
+    ["analytic", "--polyhedron", "octahedron", "--nmax", "1e6"],
+    ["count", "--polyhedron", "tetrahedron", "--source", "exact",
+     "--tmax", "inf", "--samples", "5"],
+    ["classify", "--polyhedron", "cube", "--in", "{column}"],
+], ids=["nmax_inf", "nmax_nan", "nmax_1e6", "tmax_inf", "classify_1e7"])
+def test_lattice_bound_above_limit_exits_1(tmp_path, capsys, args):
+    column = tmp_path / "c.csv"
+    column.write_text("index,lambda,normalized\n0,1e7,1e7\n")
+    args = [a.format(column=column) for a in args]
+    assert run(args + ["--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "100000" in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_count_exact_and_fem(tmp_path):
     out = tmp_path / "n.csv"
     assert run(["count", "--polyhedron", "tetrahedron", "--source", "exact",
@@ -244,8 +262,10 @@ def test_python_dash_m_entry_point():
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-m", "polyspec", "mesh",
-                           "--polyhedron", "cube", "--resolution", "2"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "dofCount 26" in done.stdout.split("\n")
+    for module in ("polyspec", "polyspec.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "mesh",
+                               "--polyhedron", "cube", "--resolution", "2"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "dofCount 26" in done.stdout.split("\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 import polyspec as ps
 from polyspec import PolyhedronKind
@@ -173,3 +174,43 @@ def test_solve_lowest_validates_arguments(bench):
         ps.solve_lowest(K, M, 0)
     with pytest.raises(ValueError):
         ps.solve_lowest(K, M, 2, tol=1e-14)
+
+
+def test_no_convergence_reports_operator_applications(bench, monkeypatch):
+    # both failures report how many shift-invert steps were taken, not the
+    # iteration budget (ARPACK counts restarts, several steps each)
+    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 4)
+    with pytest.raises(ps.NoConvergenceError) as info:
+        ps.solve_lowest(K, M, 8, seed=0, maxiter=1)
+    assert info.value.iterations > 1 and info.value.worst_residual is None
+    maxiter = 1000
+    monkeypatch.setattr(ps.eigen, "residual", lambda K, M, pair: 1.0)
+    with pytest.raises(ps.NoConvergenceError) as info:
+        ps.solve_lowest(K, M, 8, seed=0, maxiter=maxiter)
+    assert 0 < info.value.iterations < maxiter
+    assert info.value.worst_residual == 1.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_matches_scipy_shift_invert_above_dense_guard(kind, bench):
+    # scipy's own shift-invert path (its internal LU) is the oracle for
+    # pencils too large for dense_solve
+    K, M = bench.matrices(kind, 16)
+    m, seed = 30, 0
+    v0 = np.random.default_rng(seed).standard_normal(K.shape[0])
+    vals, vecs = spla.eigsh(K, k=m, M=M, sigma=-1e-2, v0=v0, tol=0)
+    ref = ps.eigen._postprocess(vals, vecs, M, 1e-9)
+    low = ps.solve_lowest(K, M, m, seed=seed)
+    a = np.array([p.value for p in ref])
+    b = np.array([p.value for p in low])
+    assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, a))
+    gap = ps.eigen._CLUSTER_GAP
+    sizes = [n for _, n in ps.group_clusters(a, rel_tol=gap)]
+    assert sizes == [n for _, n in ps.group_clusters(b, rel_tol=gap)]
+    ends = np.cumsum([0] + sizes).tolist()
+    # one cluster at a time, since each projector is a dense n-by-n matrix;
+    # the final cluster may be truncated by m and then depends on rounding
+    for lo, hi in zip(ends[:-2], ends[1:-1]):
+        [(_, Pa)] = ps.eigen.cluster_projector(ref[lo:hi], M)
+        [(_, Pb)] = ps.eigen.cluster_projector(low[lo:hi], M)
+        assert np.linalg.norm(Pa - Pb) < 1e-8
