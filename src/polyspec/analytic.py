@@ -132,10 +132,11 @@ def hexagonal_multiplicity(n: int) -> int:
     """Number of eigenfunctions of the hexagonal form with j^2+k^2+jk = n.
 
     Defined as half the number of nonzero integer solutions; n = 0 gives 1
-    (the constant).
+    (the constant).  Raises ValueError unless 0 <= n <= LATTICE_LIMIT.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_bound(n)
     q, k, j = _sweep(n)
     return int(_orbit_size(k, j)[q == n].sum())
 
@@ -555,7 +556,11 @@ def mirror_lines(f: TrigEigenfunction):
 
 @lru_cache(maxsize=None)
 def admissible_orbits(kind: PolyhedronKind, nmax: int):
-    """All admissible (sym_type, orbit) pairs with normalized value <= nmax."""
+    """All admissible (sym_type, orbit) pairs with normalized value <= nmax.
+
+    Raises ValueError unless nmax <= LATTICE_LIMIT.
+    """
+    _check_bound(nmax)
     if kind in (PolyhedronKind.TETRAHEDRON, PolyhedronKind.ICOSAHEDRON):
         types = (SymmetryType.ONE_PLUS, SymmetryType.ONE_MINUS)
     else:

@@ -1,9 +1,12 @@
 """P1 stiffness and mass matrix assembly on a surface mesh.
 
 Element integrals are evaluated in closed form (the integrands are polynomial,
-so no quadrature is involved).  Assembly scatter-adds the 3x3 element matrices
-through the mesh's DOF map; the closed surface has no boundary conditions, so
-the stiffness matrix has the constants in its kernel.
+so no quadrature is involved).  Assembly maps the element matrices through the
+mesh's DOF map: the diagonal is summed per DOF, and each unordered off-diagonal
+pair of an element is added once, at (min, max) of its two DOFs, into an upper
+triangle U.  The matrix is U + U^T + D, so both triangles hold the very same
+sums and the result is exactly symmetric.  The closed surface has no boundary
+conditions, so the stiffness matrix has the constants in its kernel.
 """
 
 from __future__ import annotations
@@ -54,33 +57,31 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     1^T M 1 equal to the surface area.  Stored entries below 1e-14 in
     magnitude are dropped after assembly.
     """
-    pts = mesh.planar_vertices[mesh.elements]           # (E, 3, 2)
-    e = np.stack([pts[:, 2] - pts[:, 1],
-                  pts[:, 0] - pts[:, 2],
-                  pts[:, 1] - pts[:, 0]], axis=1)        # (E, 3, 2)
-    area = 0.5 * (e[:, 2, 0] * (-e[:, 1, 1]) - e[:, 2, 1] * (-e[:, 1, 0]))
+    x, y = mesh.planar_vertices[mesh.elements].transpose(2, 0, 1)  # (E, 3)
+    # edge opposite vertex i, directed so the three edges sum to zero
+    ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+    area = 0.5 * (ex[:, 2] * (-ey[:, 1]) - ey[:, 2] * (-ex[:, 1]))
     if np.any(area <= 1e-14):
         raise DegenerateElementError("mesh contains a (near-)degenerate element")
     dofs = mesh.dof_of[mesh.elements]                    # (E, 3)
     n = mesh.dof_count
 
-    rows, cols, kv, mv = [], [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(dofs[:, i])
-            cols.append(dofs[:, j])
-            kv.append(np.einsum("ek,ek->e", e[:, i], e[:, j]) / (4.0 * area))
-            mv.append(area / 12.0 * (2.0 if i == j else 1.0))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sparse.coo_matrix((np.concatenate(kv), (rows, cols)),
-                          shape=(n, n)).tocsr()
-    M = sparse.coo_matrix((np.concatenate(mv), (rows, cols)),
-                          shape=(n, n)).tocsr()
+    # local pairs (0, 1), (0, 2), (1, 2), each keyed by (min, max) of its DOFs
+    a, b = [0, 0, 1], [1, 2, 2]
+    lo = np.minimum(dofs[:, a], dofs[:, b]).ravel()
+    hi = np.maximum(dofs[:, a], dofs[:, b]).ravel()
+    scale = 4.0 * area[:, None]
+    k_diag = (ex * ex + ey * ey) / scale
+    k_pair = (ex[:, a] * ex[:, b] + ey[:, a] * ey[:, b]) / scale
+    m_pair = np.repeat(area / 12.0, 3)
     out = []
-    for A in (K, M):
-        A = (A + A.T) * 0.5          # exact symmetry regardless of sum order
+    for pair, diag in ((k_pair.ravel(), k_diag.ravel()),
+                       (m_pair, 2.0 * m_pair)):
+        U = sparse.coo_matrix((pair, (lo, hi)), shape=(n, n)).tocsr()
+        D = sparse.diags(np.bincount(dofs.ravel(), diag, n), format="csr")
+        A = U + U.T + D
         A.data[np.abs(A.data) < _DROP_TOL] = 0.0
         A.eliminate_zeros()
-        out.append(A.tocsr())
+        out.append(A)
     return out[0], out[1]

@@ -1,15 +1,18 @@
 """Regular refinement meshes of a net and the identified degree-of-freedom map.
 
 A mesh at resolution r subdivides every unit edge into r intervals.  Planar
-grid points are generated per face in exact integer coordinates (the face
-corner coordinates scaled by r), deduplicated globally, and then boundary grid
-points related by an edge glue are merged into shared degrees of freedom,
-one per connected component of the glue graph.  The result is a
-triangulation of the closed surface with no boundary.
+grid points are generated for all faces at once in exact integer coordinates
+(the face corner coordinates scaled by r), deduplicated globally through one
+int64 key per point, and then boundary grid points related by an edge glue
+are merged into shared degrees of freedom, one per connected component of the
+glue graph.  Every face has the same local grid, so its elements come from one
+element template per resolution, indexed by the face's planar vertex ids.  The
+result is a triangulation of the closed surface with no boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,26 +58,29 @@ class SurfaceMesh:
         return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
 
-def _tri_row_start(r: int):
-    # local grid ids for barycentric (i, j), i + j <= r, are row_start[i] + j
-    row_start = np.zeros(r + 2, dtype=np.int64)
-    for i in range(r + 1):
-        row_start[i + 1] = row_start[i] + (r + 1 - i)
-    return row_start
+def _element_template(r: int, is_cube: bool) -> np.ndarray:
+    """One face's elements as local grid ids, in the order locate relies on.
 
-
-def _tri_face_points(corners, r):
-    # integer grid points A*(r-i-j) + B*i + C*j over i + j <= r, listed row
-    # by row, so the point (i, j) has local grid id row_start[i] + j
-    (a0, a1), (b0, b1), (c0, c1) = corners
-    ii, jj = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
-    mask = (ii + jj) <= r
-    i = ii[mask]
-    j = jj[mask]
-    k = r - i - j
-    s = a0 * k + b0 * i + c0 * j
-    t = a1 * k + b1 * i + c1 * j
-    return np.column_stack([s, t]).astype(np.int64)
+    Local ids number the face's grid points (i, j) row by row, as build_mesh
+    lists them.  Square cells come in row-major order, each split along the
+    planar lower-left -> upper-right diagonal into (00, 10, 11) then
+    (00, 11, 01).  Row i of triangle cells holds 2(r - i) - 1 elements,
+    alternating up and down.
+    """
+    if is_cube:
+        ids = np.arange((r + 1) ** 2).reshape(r + 1, r + 1)
+        v00, v10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
+        v11, v01 = ids[1:, 1:].ravel(), ids[:-1, 1:].ravel()
+        lower = np.column_stack([v00, v10, v11])
+        upper = np.column_stack([v00, v11, v01])
+        return np.stack([lower, upper], axis=1).reshape(-1, 3)
+    i, j = np.nonzero(np.add.outer(np.arange(r), np.arange(r)) < r)
+    here = i * (r + 1) - i * (i - 1) // 2 + j          # point (i, j)
+    above = here + r + 1 - i                           # point (i + 1, j)
+    up = np.column_stack([here, above, here + 1])
+    down = np.column_stack([above, above + 1, here + 1])
+    has_down = np.column_stack([np.ones_like(i, dtype=bool), i + j < r - 1])
+    return np.stack([up, down], axis=1)[has_down]
 
 
 def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
@@ -93,85 +99,37 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
         raise ValueError(f"resolution must be >= 1, got {r}")
     is_cube = net.kind is PolyhedronKind.CUBE
 
-    all_pts = []
-    for f in net.faces:
-        if is_cube:
-            (a0, b0) = f.corners[0]
-            ii, jj = np.meshgrid(np.arange(r + 1), np.arange(r + 1),
-                                 indexing="ij")
-            pts = np.column_stack([(a0 * r + ii).ravel(),
-                                   (b0 * r + jj).ravel()]).astype(np.int64)
-        else:
-            pts = _tri_face_points(f.corners, r)
-        all_pts.append(pts)
-    stacked = np.concatenate(all_pts, axis=0)
-    unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    planar_count = len(unique)
+    # integer grid points A*(r-i-j) + B*i + C*j of every face, shape (faces,
+    # points per face, 2): i + j <= r on a triangle ABC; on a square, whose
+    # B and C are corners 1 and 3, every 0 <= i, j <= r, i.e. A*r + (i, j)
+    steps = np.arange(r + 1)
+    i, j = np.nonzero(np.add.outer(steps, steps) <= (2 * r if is_cube else r))
+    corners = np.array([f.corners for f in net.faces], dtype=np.int64)
+    corners = corners[:, [0, 1, 3] if is_cube else [0, 1, 2]]
+    grid = np.column_stack([r - i - j, i, j]) @ corners
 
-    # per-face local grid id -> planar vertex id
-    face_vertex_ids = np.split(inverse,
-                               np.cumsum([len(pts) for pts in all_pts])[:-1])
+    # one int64 key per point, ordered like its (s, t) row
+    off = int(grid.min())
+    mul = int(grid.max()) - off + 1
+    keys = (grid[..., 0] - off) * mul + (grid[..., 1] - off)
+    sorted_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
+    lattice = np.column_stack(np.divmod(sorted_keys, mul)) + off
+    planar_count = len(sorted_keys)
 
-    # elements
-    elements = []
-    face_element_start = []
-    nel = 0
-    for f in net.faces:
-        face_element_start.append(nel)
-        ids = face_vertex_ids[f.index]
-        if is_cube:
-            ids = ids.reshape(r + 1, r + 1)
-            v00 = ids[:-1, :-1].ravel()
-            v10 = ids[1:, :-1].ravel()
-            v11 = ids[1:, 1:].ravel()
-            v01 = ids[:-1, 1:].ravel()
-            # split along the planar lower-left -> upper-right diagonal
-            lower = np.column_stack([v00, v10, v11])
-            upper = np.column_stack([v00, v11, v01])
-            tris = np.empty((2 * len(v00), 3), dtype=np.int64)
-            tris[0::2] = lower
-            tris[1::2] = upper
-            elements.append(tris)
-            nel += len(tris)
-        else:
-            row_start = _tri_row_start(r)
-            tris = np.empty((r * r, 3), dtype=np.int64)
-            pos = 0
-            for i in range(r):
-                j = np.arange(r - i)
-                up = np.column_stack([ids[row_start[i] + j],
-                                      ids[row_start[i + 1] + j],
-                                      ids[row_start[i] + j + 1]])
-                jd = np.arange(r - 1 - i)
-                down = np.column_stack([ids[row_start[i + 1] + jd],
-                                        ids[row_start[i + 1] + jd + 1],
-                                        ids[row_start[i] + jd + 1]])
-                row = np.empty((2 * (r - i) - 1, 3), dtype=np.int64)
-                row[0::2] = up
-                row[1::2] = down
-                tris[pos:pos + len(row)] = row
-                pos += len(row)
-            elements.append(tris)
-            nel += len(tris)
-    elements = np.concatenate(elements, axis=0)
+    template = _element_template(r, is_cube)
+    face_offset = np.arange(0, inverse.size, grid.shape[1])[:, None, None]
+    elements = inverse[face_offset + template].reshape(-1, 3)
 
     # planar coordinates
     if is_cube:
-        xy = unique.astype(np.float64) / r
+        xy = lattice.astype(np.float64) / r
     else:
-        s = unique[:, 0].astype(np.float64)
-        t = unique[:, 1].astype(np.float64)
+        s = lattice[:, 0].astype(np.float64)
+        t = lattice[:, 1].astype(np.float64)
         xy = np.column_stack([(s + 0.5 * t) / r, t * (SQRT3 / 2) / r])
 
     # glued boundary grid points share a DOF: connected components of the
     # glue graph, labelled in order of first occurrence
-    key_off = int(unique.min()) - 1
-    key_mul = int(unique.max()) - key_off + 1
-    keys = (unique[:, 0] - key_off) * key_mul + (unique[:, 1] - key_off)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    steps = np.arange(r + 1)[:, None]
     ends_a, ends_b = [], []
     for g in net.identifications:
         (pa0, pa1) = net.faces[g.face_a].edge_corners(g.edge_a)
@@ -180,14 +138,14 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
             pb0, pb1 = pb1, pb0
         a0, a1, b0, b1 = (np.array(p, dtype=np.int64)
                           for p in (pa0, pa1, pb0, pb1))
-        ends_a.append(a0 * r + (a1 - a0) * steps)
-        ends_b.append(b0 * r + (b1 - b0) * steps)
+        ends_a.append(a0 * r + (a1 - a0) * steps[:, None])
+        ends_b.append(b0 * r + (b1 - b0) * steps[:, None])
     glued = np.concatenate(ends_a + ends_b)
-    glue_keys = (glued[:, 0] - key_off) * key_mul + (glued[:, 1] - key_off)
-    pos = np.minimum(np.searchsorted(sorted_keys, glue_keys), planar_count - 1)
-    assert np.array_equal(sorted_keys[pos], glue_keys), \
+    glue_keys = (glued[:, 0] - off) * mul + (glued[:, 1] - off)
+    ids = np.minimum(np.searchsorted(sorted_keys, glue_keys), planar_count - 1)
+    assert np.array_equal(sorted_keys[ids], glue_keys), \
         "glue point is not a grid point"
-    ids = order[pos].reshape(2, -1)
+    ids = ids.reshape(2, -1)
     graph = coo_matrix((np.ones(ids.shape[1]), (ids[0], ids[1])),
                        shape=(planar_count, planar_count))
     dof_count, dof_of = connected_components(graph, directed=False)
@@ -197,12 +155,12 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
         net=net,
         resolution=r,
         planar_vertices=xy,
-        planar_lattice=unique,
+        planar_lattice=lattice,
         dof_of=dof_of,
         elements=elements,
         dof_count=dof_count,
         planar_count=planar_count,
-        _face_element_start=tuple(face_element_start),
+        _face_element_start=tuple(range(0, len(elements), len(template))),
     )
 
 
@@ -210,10 +168,10 @@ def _face_containing(net: PolyhedronNet, x: float, y: float, tol: float):
     """Face index containing (x, y), or None."""
     if net.kind is PolyhedronKind.CUBE:
         cand = []
-        for fa in (int(np.floor(x)), int(np.floor(x - tol)),
-                   int(np.floor(x + tol))):
-            for fb in (int(np.floor(y)), int(np.floor(y - tol)),
-                       int(np.floor(y + tol))):
+        for fa in (math.floor(x), math.floor(x - tol),
+                   math.floor(x + tol)):
+            for fb in (math.floor(y), math.floor(y - tol),
+                       math.floor(y + tol)):
                 cand.append((fa, fb))
         for cell in dict.fromkeys(cand):
             fi = net._cell_face.get(cell)
@@ -227,8 +185,8 @@ def _face_containing(net: PolyhedronNet, x: float, y: float, tol: float):
     t = 2.0 * y / SQRT3
     for da in (0, -1, 1):
         for db in (0, -1, 1):
-            a = int(np.floor(s)) + da
-            b = int(np.floor(t)) + db
+            a = math.floor(s) + da
+            b = math.floor(t) + db
             sig, tau = s - a, t - b
             for o in (0, 1):
                 cell = (o, a, b)
@@ -265,8 +223,8 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
         a, b = f.cell
         u = min(max((x - a) * r, 0.0), float(r))
         v = min(max((y - b) * r, 0.0), float(r))
-        i = min(int(np.floor(u)), r - 1)
-        j = min(int(np.floor(v)), r - 1)
+        i = min(math.floor(u), r - 1)
+        j = min(math.floor(v), r - 1)
         fu, fv = u - i, v - j
         cell_idx = i * r + j
         eidx = start + 2 * cell_idx + (0 if fv <= fu else 1)
@@ -278,8 +236,8 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
         v = ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / det
         u = min(max(u * r, 0.0), float(r))
         v = min(max(v * r, 0.0), float(r))
-        i = min(int(np.floor(u)), r - 1)
-        j = min(int(np.floor(v)), r - 1)
+        i = min(math.floor(u), r - 1)
+        j = min(math.floor(v), r - 1)
         if i + j > r - 1:
             over = i + j - (r - 1)
             if u - i >= v - j:
@@ -294,12 +252,12 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
         # element offset within the face: row i holds 2*(r-i)-1 elements
         row_off = 2 * r * i - i * i
         eidx = start + row_off + 2 * j + down
-    tri = mesh.elements[eidx]
-    pts = mesh.planar_vertices[tri]
-    t = np.array([x, y])
-    mat = np.column_stack([pts[1] - pts[0], pts[2] - pts[0]])
-    lam12 = np.linalg.solve(mat, t - pts[0])
-    bary = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
+    (x0, y0), (x1, y1), (x2, y2) = \
+        mesh.planar_vertices[mesh.elements[eidx]].tolist()
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
+    l2 = ((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)) / det
+    bary = np.array([1.0 - (l1 + l2), l1, l2])
     if bary.min() < -1e-7:
         raise OutOfDomainError(
             f"point ({x}, {y}) is outside element {eidx} "

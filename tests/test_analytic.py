@@ -61,6 +61,17 @@ def test_hexagonal_multiplicity_against_independent_enumeration(n):
     assert ps.hexagonal_multiplicity(n) * 2 == count
 
 
+@pytest.mark.parametrize("bound", [math.inf, math.nan, 1e6])
+def test_lattice_entry_points_reject_bounds_above_limit(bound):
+    # like exact_spectrum: ValueError, not a TypeError from math.isqrt or an
+    # allocation of about isqrt(bound)^2 entries
+    with pytest.raises(ValueError, match="at most 100000"):
+        ps.hexagonal_multiplicity(bound)
+    for kind in PolyhedronKind:
+        with pytest.raises(ValueError, match="at most 100000"):
+            ps.admissible_orbits(kind, bound)
+
+
 def test_exact_spectrum_tetrahedron_table():
     lines = ps.exact_spectrum(PolyhedronKind.TETRAHEDRON, 31)
     got = {int(line.value): line.multiplicity for line in lines}

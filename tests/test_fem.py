@@ -154,3 +154,47 @@ def test_assembly_permutation_equivariance(kind, r, bench):
                        atol=1e-12)
     assert np.allclose(M2.toarray()[np.ix_(perm, perm)], M.toarray(),
                        atol=1e-14)
+
+
+def _dense_oracle(mesh):
+    """Dense K and M: element_matrices scattered through dof_of, one by one."""
+    n = mesh.dof_count
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    for tri in mesh.elements:
+        k, m = ps.element_matrices(mesh.planar_vertices[tri])
+        dofs = mesh.dof_of[tri]
+        for a in range(3):
+            for b in range(3):
+                K[dofs[a], dofs[b]] += k[a, b]
+                M[dofs[a], dofs[b]] += m[a, b]
+    return K, M
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_assembly_matches_dense_oracle(kind, r, bench):
+    mesh = bench.mesh(kind, r)
+    K, M = bench.matrices(kind, r)
+    K_want, M_want = _dense_oracle(mesh)
+    for A, want in ((K, K_want), (M, M_want)):
+        assert np.abs(A.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+        # bitwise symmetric, and stored exactly where the oracle is nonzero
+        assert (A != A.T).nnz == 0
+        assert np.array_equal(A.toarray() != 0, want != 0)
+    stored_k = set(zip(*K.nonzero()))
+    stored_m = set(zip(*M.nonzero()))
+    if kind is not PolyhedronKind.CUBE:
+        assert stored_k == stored_m
+        return
+    # K omits exactly the cell diagonals (each triangle's hypotenuse), where
+    # the stiffness of a right angle's two legs cancels; M keeps them
+    diagonals = set()
+    for tri in mesh.elements:
+        p = mesh.planar_vertices[tri]
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            if np.linalg.norm(p[a] - p[b]) > 1.2 / r:
+                da, db = mesh.dof_of[tri[a]], mesh.dof_of[tri[b]]
+                diagonals |= {(da, db), (db, da)}
+    assert len(diagonals) == 2 * 6 * r * r
+    assert stored_k == stored_m - diagonals

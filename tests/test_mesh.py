@@ -130,6 +130,52 @@ def test_dof_count_union_find_oracle(kind, bench):
     assert np.all(np.diff(first) > 0)
 
 
+def _elements_oracle(mesh):
+    """Elements face by face and row by row, as locate's arithmetic expects.
+
+    Returns (elements, face element starts).  Each face's grid points are
+    listed row by row in integer coordinates and looked up in
+    planar_lattice.
+    """
+    r = mesh.resolution
+    index = {tuple(p): n for n, p in enumerate(mesh.planar_lattice.tolist())}
+    elements, starts = [], []
+    for f in mesh.net.faces:
+        starts.append(len(elements))
+        if mesh.net.kind is PolyhedronKind.CUBE:
+            a, b = f.corners[0]
+            ids = [[index[(a * r + i, b * r + j)] for j in range(r + 1)]
+                   for i in range(r + 1)]
+            for i in range(r):
+                for j in range(r):
+                    # split along the lower-left -> upper-right diagonal
+                    v00, v10 = ids[i][j], ids[i + 1][j]
+                    v11, v01 = ids[i + 1][j + 1], ids[i][j + 1]
+                    elements += [(v00, v10, v11), (v00, v11, v01)]
+            continue
+        (a0, a1), (b0, b1), (c0, c1) = f.corners
+        ids = [[index[(a0 * (r - i - j) + b0 * i + c0 * j,
+                       a1 * (r - i - j) + b1 * i + c1 * j)]
+                for j in range(r + 1 - i)] for i in range(r + 1)]
+        for i in range(r):
+            for j in range(r - i):
+                elements.append((ids[i][j], ids[i + 1][j], ids[i][j + 1]))
+                if j < r - 1 - i:
+                    elements.append((ids[i + 1][j], ids[i + 1][j + 1],
+                                     ids[i][j + 1]))
+    return np.array(elements, dtype=np.int64), tuple(starts)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 7])
+def test_element_order_oracle(kind, r, bench):
+    mesh = bench.mesh(kind, r)
+    elements, starts = _elements_oracle(mesh)
+    assert np.array_equal(mesh.elements, elements)
+    assert mesh.elements.dtype == np.int64
+    assert mesh._face_element_start == starts
+
+
 def test_locate_centroid(bench):
     mesh = bench.mesh(PolyhedronKind.OCTAHEDRON, 4)
     for eidx in (0, 7, len(mesh.elements) - 1):
