@@ -94,10 +94,20 @@ def _cube_signs(sym_type):
 # lattice counting
 
 
-def _check_bound(bound):
-    if not bound <= LATTICE_LIMIT:     # also rejects nan
+def _check_bound(bound, scale=1.0):
+    """The normalized bound bound / scale, if it is at most LATTICE_LIMIT.
+
+    An int beyond the float range counts as infinite, so it raises the same
+    ValueError as inf instead of an OverflowError.
+    """
+    try:
+        normalized = bound / scale
+    except OverflowError:
+        normalized = math.inf
+    if not normalized <= LATTICE_LIMIT:     # also rejects nan
         raise ValueError(f"normalized bound must be finite and at most "
-                         f"{LATTICE_LIMIT:g}, got {bound:g}")
+                         f"{LATTICE_LIMIT:g}, got {normalized:g}")
+    return normalized
 
 
 def _sweep(nmax: int, square: bool = False):
@@ -148,8 +158,7 @@ def torus_count(t: float) -> int:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    _check_bound(t / TRIANGLE_NORMALIZER)
-    q, k, j = _sweep(int(t / TRIANGLE_NORMALIZER) + 1)
+    q, k, j = _sweep(int(_check_bound(t, TRIANGLE_NORMALIZER)) + 1)
     # compare the products, not q against t / normalizer: at t = n * normalizer
     # the quotient can round below n
     keep = q * TRIANGLE_NORMALIZER <= t

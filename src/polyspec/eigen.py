@@ -3,9 +3,14 @@
 solve_lowest targets the m smallest eigenvalues with shift-invert Lanczos
 (ARPACK via scipy), seeded for reproducibility; K - sigma M is factored once
 with a symmetric minimum-degree ordering and every Lanczos step reuses that
-factor.  dense_solve is the full-spectrum direct oracle for small problems.
-Both return M-normalized eigenvectors with a deterministic sign convention
-and verify a residual contract.
+factor.  A K returned by fem.assemble carries its mesh.  If K and M are
+invariant under the mesh's symmetry permutations, that solver runs once per
+symmetry sector (see polyspec.symmetry), on pencils of about n/4 or n/8
+DOFs, and the lifted pairs are merged; a copy of K, a matrix built any other
+way, or data edited out of invariance is solved whole.  dense_solve is the
+full-spectrum direct oracle for small problems.  Both return M-normalized
+eigenvectors with a deterministic sign convention; solve_lowest checks the
+residual contract in the full pencil.
 """
 
 from __future__ import annotations
@@ -17,11 +22,15 @@ import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from . import symmetry
 from .errors import DimensionTooLargeError, NoConvergenceError
 
 _DENSE_GUARD = 2000
 _SHIFT = -1e-2
 _CLUSTER_GAP = 1e-6
+# pairs a sector computes beyond its share of m, so that the merge is usually
+# certified without solving a sector twice
+_SECTOR_MARGIN = 4
 
 
 @dataclass
@@ -62,53 +71,36 @@ def _postprocess(vals, vecs, M, tol):
     return pairs
 
 
-def dense_solve(K, M, tol: float = 1e-10):
-    """Full spectrum of the pencil by dense symmetric-definite reduction.
-
-    Guard: refuses dimensions above 2000.
-    """
+def _eigh(K, M):
     n = K.shape[0]
     if n > _DENSE_GUARD:
         raise DimensionTooLargeError(
             f"dense_solve limited to dimension {_DENSE_GUARD}, got {n}")
     Kd = K.toarray() if sparse.issparse(K) else np.asarray(K, dtype=float)
     Md = M.toarray() if sparse.issparse(M) else np.asarray(M, dtype=float)
-    vals, vecs = dla.eigh(Kd, Md)
+    return dla.eigh(Kd, Md)
+
+
+def dense_solve(K, M, tol: float = 1e-10):
+    """Full spectrum of the pencil by dense symmetric-definite reduction.
+
+    Guard: refuses dimensions above 2000.
+    """
+    vals, vecs = _eigh(K, M)
     return _postprocess(vals, vecs, M, tol)
 
 
-def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
-                 maxiter: int | None = None):
-    """The m smallest eigenpairs of K u = lambda M u, sorted ascending.
+def _lowest(K, M, m, v0, maxiter, spent):
+    """(values, vectors, operator applications) of the m lowest pairs.
 
-    Parameters
-    ----------
-    K, M : sparse matrices
-        Symmetric PSD stiffness and SPD mass.
-    m : int
-        Number of eigenpairs, 1 <= m <= dim.
-    tol : float
-        Relative residual target per pair (>= 1e-12).
-    seed : int
-        Seeds the Lanczos starting vector; fixed seeds reproduce results.
-
-    Raises
-    ------
-    NoConvergenceError
-        If the residual contract cannot be met within the iteration budget;
-        its ``iterations`` counts the shift-invert operator applications.
+    Shift-invert Lanczos from v0 on one pencil; tiny pencils, or m >= n - 1
+    (ARPACK needs k < n - 1), go through the dense path.  A failure reports
+    spent plus this call's applications.
     """
     n = K.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} outside 1..{n}")
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
     if m >= n - 1 or n <= 3:
-        # ARPACK needs k < n - 1; tiny pencils go through the dense path
-        pairs = dense_solve(K, M, tol=max(tol, 1e-12))[:m]
-        return pairs
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
+        vals, vecs = _eigh(K, M)
+        return vals[:m], vecs[:, :m], 0
     if maxiter is None:
         maxiter = max(1000, 500 * m)
     # K - sigma M is SPD for sigma < 0, so diagonal pivots are stable and a
@@ -132,8 +124,85 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(
             f"ARPACK did not converge within {maxiter} iterations",
-            iterations=applications,
+            iterations=spent + applications,
             worst_residual=None) from exc
+    return vals, vecs, applications
+
+
+def _lowest_by_sector(sectors, n, m, seed, maxiter):
+    """The m lowest pairs of the sector pencils, merged and lifted by v = B y.
+
+    Sector i of size n_i first asks for ceil(m n_i / n) + _SECTOR_MARGIN
+    pairs.  The merge is certified once every sector is exhausted or its
+    largest computed value exceeds the merged m-th value; a sector that is
+    neither is solved again for twice as many pairs.
+    """
+    sizes = [B.shape[1] for B, _, _ in sectors]
+    want = [min(size, -(-m * size // n) + _SECTOR_MARGIN) for size in sizes]
+    found = {}
+    applications = 0
+    todo = [i for i, size in enumerate(sizes) if size]
+    while todo:
+        for i in todo:
+            _, Ks, Ms = sectors[i]
+            v0 = np.random.default_rng([seed, i]).standard_normal(sizes[i])
+            vals, vecs, used = _lowest(Ks, Ms, want[i], v0, maxiter,
+                                       applications)
+            applications += used
+            found[i] = (vals, vecs)
+        top = np.sort(np.concatenate([v for v, _ in found.values()]))[m - 1]
+        todo = [i for i, (vals, _) in found.items()
+                if want[i] < sizes[i] and vals.max() <= top]
+        for i in todo:
+            want[i] = min(sizes[i], 2 * want[i])
+    vals = np.concatenate([v for v, _ in found.values()])
+    vecs = np.hstack([sectors[i][0] @ y for i, (_, y) in found.items()])
+    order = np.argsort(vals, kind="stable")[:m]
+    return vals[order], vecs[:, order], applications
+
+
+def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
+                 maxiter: int | None = None):
+    """The m smallest eigenpairs of K u = lambda M u, sorted ascending.
+
+    A K from assemble carries its mesh; if K and M are invariant under the
+    mesh's symmetry permutations, each symmetry sector is solved on its own
+    (see polyspec.symmetry) and the lifted pairs are merged.  Any other
+    pencil is solved whole.  Either way the residual contract is checked in
+    the full pencil.
+
+    Parameters
+    ----------
+    K, M : sparse matrices
+        Symmetric PSD stiffness and SPD mass.
+    m : int
+        Number of eigenpairs, 1 <= m <= dim.
+    tol : float
+        Relative residual target per pair (>= 1e-12).
+    seed : int
+        Seeds the Lanczos starting vectors; fixed seeds reproduce results.
+    maxiter : int, optional
+        ARPACK iteration budget of each Lanczos run.
+
+    Raises
+    ------
+    NoConvergenceError
+        If the residual contract cannot be met within the iteration budget;
+        its ``iterations`` counts the shift-invert operator applications,
+        summed over the sectors solved so far.
+    """
+    n = K.shape[0]
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} outside 1..{n}")
+    if tol < 1e-12:
+        raise ValueError("tol must be >= 1e-12")
+    sectors = symmetry.split(K, M)
+    if sectors is None:
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        vals, vecs, applications = _lowest(K, M, m, v0, maxiter, 0)
+    else:
+        vals, vecs, applications = _lowest_by_sector(sectors, n, m, seed,
+                                                     maxiter)
     pairs = _postprocess(vals, vecs, M, tol)
     worst = max(residual(K, M, p) for p in pairs)
     if worst > tol:

@@ -54,8 +54,14 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
 
     Both matrices have dimension mesh.dof_count.  K is symmetric positive
     semidefinite with K @ 1 = 0; M is symmetric positive definite with
-    1^T M 1 equal to the surface area.  Stored entries below 1e-14 in
-    magnitude are dropped after assembly.
+    1^T M 1 equal to the surface area.  Stored entries of K below 1e-14 in
+    magnitude (the cube's cell diagonals) are dropped after assembly.
+
+    K carries the mesh as the private attribute ``_mesh``, through which
+    eigen.solve_lowest finds the mesh's symmetry sectors.  Anything that
+    builds a new matrix drops it (K.copy(), arithmetic, slicing); data
+    edited in place keeps it, and then solve_lowest's invariance check
+    decides.
     """
     x, y = mesh.planar_vertices[mesh.elements].transpose(2, 0, 1)  # (E, 3)
     # edge opposite vertex i, directed so the three edges sum to zero
@@ -75,13 +81,20 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     k_diag = (ex * ex + ey * ey) / scale
     k_pair = (ex[:, a] * ex[:, b] + ey[:, a] * ey[:, b]) / scale
     m_pair = np.repeat(area / 12.0, 3)
-    out = []
-    for pair, diag in ((k_pair.ravel(), k_diag.ravel()),
-                       (m_pair, 2.0 * m_pair)):
-        U = sparse.coo_matrix((pair, (lo, hi)), shape=(n, n)).tocsr()
-        D = sparse.diags(np.bincount(dofs.ravel(), diag, n), format="csr")
-        A = U + U.T + D
-        A.data[np.abs(A.data) < _DROP_TOL] = 0.0
-        A.eliminate_zeros()
-        out.append(A)
-    return out[0], out[1]
+    # K + iM goes through the sparse structure once; complex sums add real
+    # and imaginary parts independently, so each part is summed exactly as
+    # it would be alone
+    U = sparse.coo_matrix((k_pair.ravel() + 1j * m_pair, (lo, hi)),
+                          shape=(n, n)).tocsr()
+    D = sparse.diags(np.bincount(dofs.ravel(), k_diag.ravel(), n)
+                     + 1j * np.bincount(dofs.ravel(), 2.0 * m_pair, n),
+                     format="csr")
+    A = U + U.T + D
+    K = sparse.csr_matrix((A.data.real.copy(), A.indices.copy(),
+                           A.indptr.copy()), shape=(n, n))
+    M = sparse.csr_matrix((A.data.imag.copy(), A.indices, A.indptr),
+                          shape=(n, n))
+    K.data[np.abs(K.data) < _DROP_TOL] = 0.0
+    K.eliminate_zeros()
+    K._mesh = mesh
+    return K, M

@@ -1,0 +1,247 @@
+"""Symmetry sectors of the P1 pencil on a refined net.
+
+Every isometry of a regular polyhedron permutes its vertices, so it acts on
+the vertex labels of the net tables.  The label permutations that map the
+net's faces onto faces (and, on the cube, each face's split diagonal onto a
+split diagonal) map the refined mesh onto itself, hence permute its degrees
+of freedom, and K and M commute with those permutations.  An elementary
+abelian 2-subgroup H of them has 2^k sign characters, and the DOF space
+splits M- and K-orthogonally into one invariant sector per character
+(Bossavit, CMAME 56, 1986; Fassler & Stiefel, Group Theoretical Methods and
+Their Applications, 1992).  Each sector has a basis B of +-1 columns, one per
+H-orbit of DOFs whose stabilizer the character is trivial on, so the pencil
+splits into the 2^k independent pencils (B^T K B, B^T M B).
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+import scipy.sparse as sparse
+
+from .mesh import SurfaceMesh
+from .net import PolyhedronKind, build_net
+
+# largest ||P A P^T - A||_max / ||A||_max accepted as invariant; assembly sums
+# element contributions in a mesh-dependent order, so P A P^T equals A only
+# to a few ulp
+INVARIANCE_TOL = 1e-12
+
+
+@lru_cache(maxsize=None)
+def label_group(kind: PolyhedronKind) -> tuple:
+    """Every vertex-label permutation that maps the net onto itself.
+
+    Searches the automorphisms of the label graph (labels joined by a face
+    edge) by backtracking and keeps those that map faces to faces; on the
+    cube, also each face's split diagonal (corners 0-2) to a split diagonal.
+    Orders: 24 (tetrahedron), 48 (octahedron), 120 (icosahedron), and 4 for
+    the cube, whose cells are all split along one planar direction.  Sorted,
+    so the identity comes first.
+    """
+    net = build_net(kind)
+    labels = [f.labels for f in net.faces]
+    count = 1 + max(max(f) for f in labels)
+    mask = [0] * count          # bit u of mask[v]: u and v share a face edge
+    for f in net.faces:
+        for e in range(f.n_sides):
+            u, v = f.edge_labels(e)
+            mask[u] |= 1 << v
+            mask[v] |= 1 << u
+    # breadth-first order: each label after the first has an earlier
+    # neighbour, and its image must be a neighbour of that one's image
+    order = [0]
+    for v in order:
+        order += [u for u in range(count) if mask[v] >> u & 1
+                  and u not in order]
+    before = [[i for i in range(k) if mask[order[k]] >> order[i] & 1]
+              for k in range(count)]
+    near = [[u for u in range(count) if mask[v] >> u & 1]
+            for v in range(count)]
+    faces = {frozenset(f) for f in labels}
+    diagonals = ({frozenset((f[0], f[2])) for f in labels}
+                 if kind is PolyhedronKind.CUBE else set())
+    found = []
+
+    def extend(image, used):
+        # image[k] is the image of order[k]; used has a bit per image taken
+        k = len(image)
+        if k == count:
+            sigma = [0] * count
+            for v, w in zip(order, image):
+                sigma[v] = w
+            found.append(tuple(sigma))
+            return
+        want = sum(1 << image[i] for i in before[k])
+        for w in near[image[before[k][0]]] if k else range(count):
+            if not used >> w & 1 and mask[w] & used == want:
+                extend(image + [w], used | 1 << w)
+
+    extend([], 0)
+
+    def keeps(sigma, sets):
+        return all(frozenset(sigma[x] for x in s) in sets for s in sets)
+
+    return tuple(sorted(s for s in found
+                        if keeps(s, faces) and keeps(s, diagonals)))
+
+
+@lru_cache(maxsize=None)
+def sector_generators(kind: PolyhedronKind) -> tuple:
+    """Generators of a largest elementary abelian 2-subgroup of label_group.
+
+    Rank 2 for the tetrahedron and the cube, 3 for the octahedron and the
+    icosahedron, so 4 or 8 sectors.  The first such set in the group's
+    enumeration order is taken, so the choice is deterministic.
+    """
+    group = label_group(kind)
+    identity = group[0]
+    assert identity == tuple(range(len(identity)))
+
+    def compose(a, b):
+        return tuple(a[x] for x in b)
+
+    involutions = [g for g in group[1:] if compose(g, g) == identity]
+    # the subgroup's order 2^rank divides the group's order
+    most = (len(group) & -len(group)).bit_length() - 1
+    best = ()
+
+    def grow(gens, span, start):
+        nonlocal best
+        if len(gens) > len(best):
+            best = gens
+        for i in range(start, len(involutions)):
+            if len(best) == most:
+                return
+            g = involutions[i]
+            if g not in span and all(compose(g, h) == compose(h, g)
+                                     for h in gens):
+                grow(gens + (g,), span | {compose(g, h) for h in span}, i + 1)
+
+    grow((), {identity}, 0)
+    return best
+
+
+def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
+    """The DOF permutation p of one label permutation: p[d] is d's image.
+
+    A face grid point has integer barycentric weights W = (r-i-j, i, j) on
+    the face's corners 0, 1, 2 (0, 1, 3 on a square).  Its image carries the
+    same weights on the image face's corners whose labels are the images of
+    those corners' labels.
+    """
+    net, r = mesh.net, mesh.resolution
+    is_cube = net.kind is PolyhedronKind.CUBE
+    local = [0, 1, 3] if is_cube else [0, 1, 2]
+    face_of = {frozenset(f.labels): f for f in net.faces}
+    src, dst = [], []
+    for f in net.faces:
+        image = face_of[frozenset(sigma[x] for x in f.labels)]
+        src.append([f.corners[k] for k in local])
+        dst.append([image.corners[image.labels.index(sigma[f.labels[k]])]
+                    for k in local])
+    steps = np.arange(r + 1)
+    i, j = np.nonzero(np.add.outer(steps, steps) <= (2 * r if is_cube else r))
+    weights = np.column_stack([r - i - j, i, j])
+    lattice = mesh.planar_lattice
+    off = int(lattice.min())
+    mul = int(lattice.max()) - off + 1
+    keys = (lattice[:, 0] - off) * mul + (lattice[:, 1] - off)
+
+    def dofs(corners):
+        grid = weights @ np.array(corners, dtype=np.int64)   # (F, P, 2)
+        k = ((grid[..., 0] - off) * mul + (grid[..., 1] - off)).ravel()
+        ids = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        assert np.array_equal(keys[ids], k), "image point is not a grid point"
+        return mesh.dof_of[ids]
+
+    a, b = dofs(src), dofs(dst)
+    perm = np.empty(mesh.dof_count, dtype=np.int64)
+    perm[a] = b
+    assert np.array_equal(perm[a], b), "label permutation splits a DOF"
+    assert np.array_equal(np.sort(perm), np.arange(mesh.dof_count)), \
+        "label permutation does not permute the DOFs"
+    return perm
+
+
+def is_invariant(A, perm) -> bool:
+    """||P A P^T - A||_max <= INVARIANCE_TOL * ||A||_max for perm's P."""
+    inv = np.argsort(perm)
+    diff = abs(A[inv][:, inv] - A).max()
+    return bool(diff <= INVARIANCE_TOL * abs(A).max())
+
+
+def sector_bases(perms, n: int) -> list:
+    """One sparse n-by-n_chi basis per character of the group perms generate.
+
+    Character c takes the value (-1)^popcount(b & c) on the element that
+    composes the generators in bitmask b.  Its basis has one column per
+    orbit (ordered by smallest DOF) whose stabilizer c is trivial on; the
+    column is +-1 on the orbit, with sign c(h) at h(smallest DOF).  The
+    column counts sum to n.
+    """
+    images = [np.arange(n)]
+    for g in perms:
+        images += [g[h] for h in images]
+    images = np.array(images)                          # (|H|, n)
+    rep = images.min(axis=0)
+    orbit, col_of_rep = np.unique(rep, return_inverse=True)
+    carrier = (images[:, rep] == np.arange(n)).argmax(axis=0)
+    stabilizes = images[:, orbit] == orbit             # (|H|, orbits)
+    elements = np.arange(len(images))
+    bases = []
+    for c in range(len(images)):
+        odd = np.array([bin(b & c).count("1") % 2 for b in elements],
+                       dtype=bool)
+        sign = np.where(odd, -1.0, 1.0)
+        kept = ~(stabilizes & odd[:, None]).any(axis=0)
+        column = np.cumsum(kept) - 1
+        rows = np.flatnonzero(kept[col_of_rep])
+        bases.append(sparse.csr_matrix(
+            (sign[carrier[rows]], (rows, column[col_of_rep[rows]])),
+            shape=(n, int(kept.sum()))))
+    return bases
+
+
+def _project(A, first, sizes, B):
+    """B^T A B for an A invariant under the group, read off few rows of A.
+
+    Column o of B is +-1 on orbit o and +1 at the orbit's smallest DOF,
+    first[o].  For an invariant A, every row of A B on orbit o is that DOF's
+    row times its sign, so B^T A B = diag(sizes) (A B)[first]; the mean with
+    its transpose keeps the result exactly symmetric.
+    """
+    rows = A[first]
+    rows.data *= np.repeat(sizes, np.diff(rows.indptr))
+    S = rows @ B
+    S = S + S.T
+    S.data *= 0.5
+    return S
+
+
+def split(K, M):
+    """Sector pencils [(B, B^T K B, B^T M B)], or None to solve (K, M) whole.
+
+    Only a K that assemble returned carries its mesh; any other matrix (a
+    copy, a test matrix) has none.  The sectors are returned, one per
+    character and possibly empty, only if K and M are invariant under every
+    generator, which also rejects data edited in place.
+    """
+    mesh = getattr(K, "_mesh", None)
+    n = K.shape[0]
+    if (not isinstance(mesh, SurfaceMesh) or mesh.dof_count != n
+            or not sparse.issparse(M) or M.shape != K.shape):
+        return None
+    K, M = K.tocsr(), M.tocsr()
+    perms = [dof_permutation(mesh, g)
+             for g in sector_generators(mesh.net.kind)]
+    if not all(is_invariant(A, p) for p in perms for A in (K, M)):
+        return None
+    sectors = []
+    for B in sector_bases(perms, n):
+        C = B.tocsc()
+        first, sizes = C.indices[C.indptr[:-1]], np.diff(C.indptr)
+        sectors.append((B, _project(K, first, sizes, B),
+                        _project(M, first, sizes, B)))
+    return sectors

@@ -61,15 +61,23 @@ def test_hexagonal_multiplicity_against_independent_enumeration(n):
     assert ps.hexagonal_multiplicity(n) * 2 == count
 
 
-@pytest.mark.parametrize("bound", [math.inf, math.nan, 1e6])
+@pytest.mark.parametrize(
+    "bound", [math.inf, math.nan, 1e6, pytest.param(10**400, id="10**400")])
 def test_lattice_entry_points_reject_bounds_above_limit(bound):
-    # like exact_spectrum: ValueError, not a TypeError from math.isqrt or an
-    # allocation of about isqrt(bound)^2 entries
-    with pytest.raises(ValueError, match="at most 100000"):
-        ps.hexagonal_multiplicity(bound)
+    # ValueError, not a TypeError from math.isqrt, an OverflowError from an
+    # int beyond the float range, or an allocation of about isqrt(bound)^2
+    # entries; the counting functions take raw values, 4 pi^2 / 3 ~ 13.2
+    # times the normalized bound, so 14 * bound is above the limit too
+    calls = [lambda: ps.hexagonal_multiplicity(bound),
+             lambda: ps.exact_tetra_eigenvalues(bound),
+             lambda: ps.torus_count(14 * bound),
+             lambda: ps.tetra_count_exact(14 * bound)]
     for kind in PolyhedronKind:
+        calls += [lambda kind=kind: ps.admissible_orbits(kind, bound),
+                  lambda kind=kind: ps.exact_spectrum(kind, bound)]
+    for call in calls:
         with pytest.raises(ValueError, match="at most 100000"):
-            ps.admissible_orbits(kind, bound)
+            call()
 
 
 def test_exact_spectrum_tetrahedron_table():

@@ -178,17 +178,37 @@ def test_solve_lowest_validates_arguments(bench):
 
 def test_no_convergence_reports_operator_applications(bench, monkeypatch):
     # both failures report how many shift-invert steps were taken, not the
-    # iteration budget (ARPACK counts restarts, several steps each)
-    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 4)
-    with pytest.raises(ps.NoConvergenceError) as info:
-        ps.solve_lowest(K, M, 8, seed=0, maxiter=1)
-    assert info.value.iterations > 1 and info.value.worst_residual is None
+    # iteration budget (ARPACK counts restarts, several steps each), summed
+    # over every Lanczos run so far.  An untagged copy of K is solved whole;
+    # the assembled K at r=8 goes through sectors large enough for ARPACK
+    # (at r=4 every sector takes the dense path and maxiter never applies)
+    K4, M4 = bench.matrices(PolyhedronKind.OCTAHEDRON, 4)
+    K8, M8 = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)
+    assert ps.symmetry.split(K4.copy(), M4) is None
+    assert ps.symmetry.split(K8, M8) is not None
+    for K, M in ((K4.copy(), M4), (K8, M8)):
+        with pytest.raises(ps.NoConvergenceError) as info:
+            ps.solve_lowest(K, M, 8, seed=0, maxiter=1)
+        assert info.value.iterations > 1 and info.value.worst_residual is None
+    runs = []
+    lowest = ps.eigen._lowest
+
+    def counted(*args):
+        out = lowest(*args)
+        runs.append(out[2])
+        return out
+
     maxiter = 1000
+    monkeypatch.setattr(ps.eigen, "_lowest", counted)
     monkeypatch.setattr(ps.eigen, "residual", lambda K, M, pair: 1.0)
-    with pytest.raises(ps.NoConvergenceError) as info:
-        ps.solve_lowest(K, M, 8, seed=0, maxiter=maxiter)
-    assert 0 < info.value.iterations < maxiter
-    assert info.value.worst_residual == 1.0
+    for K, M, solves in ((K4.copy(), M4, 1), (K8, M8, 8)):
+        runs.clear()
+        with pytest.raises(ps.NoConvergenceError) as info:
+            ps.solve_lowest(K, M, 8, seed=0, maxiter=maxiter)
+        assert len(runs) == solves
+        assert info.value.iterations == sum(runs)
+        assert 0 < info.value.iterations < maxiter
+        assert info.value.worst_residual == 1.0
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,0 +1,149 @@
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+
+import polyspec as ps
+from polyspec import PolyhedronKind
+from polyspec import symmetry as sym
+
+from conftest import KINDS
+
+# (order of the label group, number of sectors)
+GROUPS = {
+    PolyhedronKind.TETRAHEDRON: (24, 4),
+    PolyhedronKind.OCTAHEDRON: (48, 8),
+    PolyhedronKind.ICOSAHEDRON: (120, 8),
+    PolyhedronKind.CUBE: (4, 4),
+}
+
+
+def compose(a, b):
+    return tuple(a[x] for x in b)
+
+
+def conjugated(A, perm):
+    """P A P^T for the permutation matrix P that sends d to perm[d]."""
+    inv = np.argsort(perm)
+    return A[inv][:, inv]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_group_orders_and_sector_counts(kind):
+    order, sectors = GROUPS[kind]
+    group = sym.label_group(kind)
+    assert len(group) == order == len(set(group))
+    identity = tuple(range(len(group[0])))
+    assert identity in group
+    assert all(compose(g, h) in group for g in group for h in group)
+    gens = sym.sector_generators(kind)
+    assert 2 ** len(gens) == sectors
+    for g in gens:
+        assert g in group and g != identity
+        assert compose(g, g) == identity
+        assert all(compose(g, h) == compose(h, g) for h in gens)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
+def test_pencil_is_invariant_under_every_group_element(kind, r, bench):
+    mesh = bench.mesh(kind, r)
+    K, M = bench.matrices(kind, r)
+    for sigma in sym.label_group(kind):
+        perm = sym.dof_permutation(mesh, sigma)
+        for A in (K, M):
+            diff = abs(conjugated(A, perm) - A).max()
+            assert diff <= 1e-12 * abs(A).max()
+            assert sym.is_invariant(A, perm)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
+def test_sector_bases_split_the_dofs(kind, r, bench):
+    mesh = bench.mesh(kind, r)
+    n = mesh.dof_count
+    gens = sym.sector_generators(kind)
+    perms = [sym.dof_permutation(mesh, g) for g in gens]
+    bases = sym.sector_bases(perms, n)
+    sizes = [B.shape[1] for B in bases]
+    assert len(bases) == GROUPS[kind][1]
+    assert sum(sizes) == n
+    if r == 1 and kind is not PolyhedronKind.CUBE:
+        assert 0 in sizes
+    for c, B in enumerate(bases):
+        # generator i acts on sector c as the sign (-1)^(bit i of c)
+        for i, perm in enumerate(perms):
+            sign = -1.0 if c >> i & 1 else 1.0
+            assert (B[np.argsort(perm)] != sign * B).nnz == 0
+        # +-1 columns with disjoint supports
+        assert np.array_equal(abs(B).sum(axis=1).A1 <= 1, np.ones(n, bool))
+        assert np.all(abs(B.data) == 1)
+    # all n columns are mutually orthogonal, so together they span R^n
+    together = sparse.hstack(bases).tocsr()
+    gram = (together.T @ together).toarray()
+    assert np.array_equal(gram, np.diag(np.diag(gram)))
+    assert np.all(np.diag(gram) > 0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sectors_match_the_whole_pencil(kind, bench):
+    K, M = bench.matrices(kind, 16)
+    assert sym.split(K, M) is not None
+    m = 30
+    whole = ps.solve_lowest(K.copy(), M, m, seed=0)
+    split = ps.solve_lowest(K, M, m, seed=0)
+    a = np.array([p.value for p in whole])
+    b = np.array([p.value for p in split])
+    assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, a))
+    V = np.column_stack([p.vector for p in split])
+    assert np.abs(V.T @ (M @ V) - np.eye(m)).max() < 1e-10
+    assert max(ps.residual(K, M, p) for p in split) <= 1e-9
+    gap = ps.eigen._CLUSTER_GAP
+    sizes = [n for _, n in ps.group_clusters(a, rel_tol=gap)]
+    assert sizes == [n for _, n in ps.group_clusters(b, rel_tol=gap)]
+    ends = np.cumsum([0] + sizes).tolist()
+    # the final cluster may be truncated by m and then depends on rounding
+    for lo, hi in zip(ends[:-2], ends[1:-1]):
+        [(_, Pa)] = ps.eigen.cluster_projector(whole[lo:hi], M)
+        [(_, Pb)] = ps.eigen.cluster_projector(split[lo:hi], M)
+        assert np.linalg.norm(Pa - Pb) < 1e-8
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_margin_merges_through_resolves(kind, bench, monkeypatch):
+    K, M = bench.matrices(kind, 16)
+    m = 30
+    want = np.array([p.value for p in ps.solve_lowest(K.copy(), M, m)])
+    runs = []
+    lowest = ps.eigen._lowest
+
+    def counted(*args):
+        runs.append(args[2])
+        return lowest(*args)
+
+    monkeypatch.setattr(ps.eigen, "_SECTOR_MARGIN", 0)
+    monkeypatch.setattr(ps.eigen, "_lowest", counted)
+    got = np.array([p.value for p in ps.solve_lowest(K, M, m)])
+    assert len(runs) > GROUPS[kind][1]          # some sector ran twice
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
+
+
+def test_untagged_or_edited_pencils_are_solved_whole(bench):
+    mesh = bench.mesh(PolyhedronKind.OCTAHEDRON, 8)
+    K, M = ps.assemble(mesh)
+    assert sym.split(K, M) is not None and sym.split(K, M.tocsc()) is not None
+    copy = K.copy()
+    assert not hasattr(copy, "_mesh") and sym.split(copy, M) is None
+    # scale one off-diagonal pair in place: K keeps its mesh and stays
+    # symmetric, but is no longer invariant
+    i, j = 0, K.indices[K.indptr[0]:K.indptr[1]].max()
+    for a, b in ((i, j), (j, i)):
+        row = slice(K.indptr[a], K.indptr[a + 1])
+        K.data[row][K.indices[row] == b] *= 1.5
+    assert K._mesh is mesh and sym.split(K, M) is None
+    for A in (copy, K):
+        assert sym.split(A, M) is None
+        pairs = ps.solve_lowest(A, M, 10, seed=0)
+        assert max(ps.residual(A, M, p) for p in pairs) <= 1e-9
+        dense = ps.dense_solve(A, M)[:10]
+        assert np.allclose([p.value for p in pairs],
+                           [p.value for p in dense], rtol=1e-10, atol=1e-12)
