@@ -2,9 +2,10 @@
 
 The counting function N(t) of a sorted eigenvalue series is compared against
 the affine prediction slope * t + c, with slope = area / (4 pi) and the
-additive constant c particular to each surface.  D is the raw remainder, A its
-running average (computed exactly, since N is a step function), and
-g(t) = sqrt(t) * A(t^2) the rescaled average.
+additive constant c fixed by the cone angles; counting_constants derives both
+from the net.  D is the raw remainder, A its running average (computed
+exactly, since N is a step function), and g(t) = sqrt(t) * A(t^2) the
+rescaled average.
 """
 
 from __future__ import annotations
@@ -16,23 +17,21 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import (SQUARE_NORMALIZER, TRIANGLE_NORMALIZER, exact_spectrum)
+from .eigen import cluster_slices
 from .errors import InsufficientSpectrumError
-from .net import SQRT3, PolyhedronKind
+from .net import PolyhedronKind, build_net
 
-# counting constants: area/(4 pi) slope and the additive constant c
-WEYL_SLOPE = {
-    PolyhedronKind.TETRAHEDRON: SQRT3 / (4 * math.pi),
-    PolyhedronKind.OCTAHEDRON: SQRT3 / (2 * math.pi),
-    PolyhedronKind.ICOSAHEDRON: 5 * SQRT3 / (4 * math.pi),
-    PolyhedronKind.CUBE: 3 / (2 * math.pi),
-}
 
-COUNTING_CONSTANT = {
-    PolyhedronKind.TETRAHEDRON: Fraction(1, 2),
-    PolyhedronKind.OCTAHEDRON: Fraction(5, 12),
-    PolyhedronKind.ICOSAHEDRON: Fraction(11, 30),
-    PolyhedronKind.CUBE: Fraction(7, 18),
-}
+def counting_constants(kind: PolyhedronKind) -> tuple[float, Fraction]:
+    """Weyl slope area / (4 pi) and the exact additive constant c of a kind.
+
+    c sums the flat-cone heat invariant (2 pi / theta - theta / 2 pi) / 12
+    over the V vertices of cone angle theta = 2 pi q, q = (V - 2) / V.
+    """
+    net = build_net(kind)
+    v = len(net.cone_points)
+    q = Fraction(v - 2, v)
+    return net.area / (4 * math.pi), v * (1 / q - q) / 12
 
 
 def normalizer(kind: PolyhedronKind) -> float:
@@ -63,6 +62,14 @@ def aitken_extrapolate(l_r: float, l_2r: float, l_4r: float) -> float:
     return l_4r - d2 * d2 / den
 
 
+def richardson_extrapolate(coarse, fine) -> np.ndarray:
+    """Order-2 limit (4 fine - coarse) / 3 of values at r and 2r, by index.
+
+    Removes the C h^2 term of the P1 error, leaving O(h^4).
+    """
+    return (4 * np.asarray(fine, float) - np.asarray(coarse, float)) / 3
+
+
 @dataclass(frozen=True)
 class CountingSeries:
     """Sorted raw eigenvalues with the surface's counting constants."""
@@ -88,9 +95,9 @@ class CountingSeries:
 
 def make_counting_series(kind: PolyhedronKind, eigenvalues) -> CountingSeries:
     """CountingSeries with the slope and constant belonging to the kind."""
+    slope, c = counting_constants(kind)
     return CountingSeries(eigenvalues=np.sort(np.asarray(eigenvalues, float)),
-                          weyl_slope=WEYL_SLOPE[kind],
-                          c=float(COUNTING_CONSTANT[kind]))
+                          weyl_slope=slope, c=float(c))
 
 
 def counting(series: CountingSeries, t: float) -> int:
@@ -159,7 +166,7 @@ def remainder_series(series: CountingSeries, tmax: float,
             f"cannot tabulate D/A up to {tmax:.6g}")
     t = np.linspace(0.0, tmax, samples)
     n = np.searchsorted(series.eigenvalues, t, side="right").astype(float)
-    d = n - (series.weyl_slope * t + series.c)
+    d = remainder(series, t)
     a = averaged_remainder(series, t)
     g = np.full(t.shape, np.nan)
     ok = t * t <= series.coverage
@@ -201,14 +208,9 @@ def classify(normalized_lambda: float, kind: PolyhedronKind,
 def group_clusters(values, rel_tol: float = 0.005):
     """Group sorted values into clusters split at relative gaps > rel_tol.
 
-    Returns a list of (mean value, multiplicity) pairs.
+    Returns a list of (mean value, multiplicity) pairs.  The split rule is
+    eigen.cluster_slices, which cluster_projector also uses.
     """
     vals = np.sort(np.asarray(values, dtype=np.float64))
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or \
-                vals[i] - vals[i - 1] > rel_tol * max(1.0, abs(vals[i])):
-            groups.append((float(vals[start:i].mean()), i - start))
-            start = i
-    return groups
+    return [(float(vals[s].mean()), s.stop - s.start)
+            for s in cluster_slices(vals, rel_tol)]

@@ -67,8 +67,9 @@ class SymmetryType(enum.Enum):
 
 # (bisector-family sign, edge-family sign) of the base formulas.  For the
 # octahedron the bisector family is the in-face reflections and the edge
-# family the face-to-face ones; for the cube the edge lines and face diagonals
-# form the diagonal family while the face bisectors form the straight family.
+# family the face-to-face ones.  On the cube the two families swap: the first
+# character is the diagonal family (edge lines and face diagonals), the second
+# the straight family (face bisectors), so its pair is read reversed.
 _TYPE_SIGNS = {
     SymmetryType.ONE_PLUS: (1, 1),
     SymmetryType.ONE_MINUS: (-1, -1),
@@ -79,15 +80,12 @@ _TYPE_SIGNS = {
 }
 
 
-def _cube_signs(sym_type):
-    # cube: first character = diagonal family = edge lines + face diagonals
-    bis, edge = {
-        SymmetryType.PP: (1, 1),
-        SymmetryType.MM: (-1, -1),
-        SymmetryType.PM: (-1, 1),
-        SymmetryType.MP: (1, -1),
-    }[sym_type]
-    return bis, edge
+def _admitted_types(kind: PolyhedronKind) -> tuple:
+    """The one-dimensional symmetry types of a kind, in enum order."""
+    if kind in (PolyhedronKind.TETRAHEDRON, PolyhedronKind.ICOSAHEDRON):
+        return (SymmetryType.ONE_PLUS, SymmetryType.ONE_MINUS)
+    return (SymmetryType.PP, SymmetryType.MM, SymmetryType.PM,
+            SymmetryType.MP)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +289,8 @@ class TrigEigenfunction:
                 for s, f in zip(self.signs, self.frequencies)]
 
     def _base_signs(self):
-        if self.kind is PolyhedronKind.CUBE:
-            return _cube_signs(self.sym_type)
-        return _TYPE_SIGNS[self.sym_type]
+        signs = _TYPE_SIGNS[self.sym_type]
+        return signs[::-1] if self.kind is PolyhedronKind.CUBE else signs
 
     @property
     def bisector_sign(self) -> int:
@@ -375,11 +372,12 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
     if not k >= j >= 0:
         raise InadmissibleOrbitError(
             f"orbit must satisfy k >= j >= 0, got ({k}, {j})")
+    types = _admitted_types(kind)
+    if sym_type not in types:
+        raise InadmissibleOrbitError(
+            f"{kind.value} admits types "
+            f"{'/'.join(t.value for t in types)}, not {sym_type.value}")
     if kind is PolyhedronKind.CUBE:
-        if sym_type not in (SymmetryType.PP, SymmetryType.MM,
-                            SymmetryType.PM, SymmetryType.MP):
-            raise InadmissibleOrbitError(
-                f"cube admits ++/--/+-/-+ types, not {sym_type.value}")
         if sym_type in (SymmetryType.PP, SymmetryType.MM):
             if k % 2 or j % 2:
                 raise InadmissibleOrbitError(
@@ -394,15 +392,6 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
                 f"nongeneric cube orbit ({k}, {j}) has no {sym_type.value} "
                 "eigenfunction")
     else:
-        if kind is PolyhedronKind.OCTAHEDRON:
-            allowed = (SymmetryType.PP, SymmetryType.MM,
-                       SymmetryType.PM, SymmetryType.MP)
-        else:
-            allowed = (SymmetryType.ONE_PLUS, SymmetryType.ONE_MINUS)
-        if sym_type not in allowed:
-            raise InadmissibleOrbitError(
-                f"{kind.value} admits types "
-                f"{'/'.join(t.value for t in allowed)}, not {sym_type.value}")
         if k % 2 or j % 2:
             raise InadmissibleOrbitError(
                 f"triangle-faced orbits need k, j both even, got ({k}, {j})")
@@ -534,32 +523,24 @@ def mirror_lines(f: TrigEigenfunction):
     point across such a line multiplies the function value by the sign.
     """
     ox, oy = build_net(f.kind).formula_origin
-    out = []
     if f.kind is PolyhedronKind.CUBE:
         e, b = f.edge_sign, f.bisector_sign
-        out.append(((ox + 0.5, oy), (0.0, 1.0), e))      # edge x = 1
-        out.append(((ox, oy + 0.5), (1.0, 0.0), e))      # edge y = 1
-        out.append(((ox, oy), (1.0, 1.0), e))            # face diagonal
-        out.append(((ox, oy), (1.0, -1.0), e))
-        out.append(((ox, oy), (0.0, 1.0), b))            # straight bisectors
-        out.append(((ox, oy), (1.0, 0.0), b))
-        return out
+        return [((ox + 0.5, oy), (0.0, 1.0), e),        # edge x = 1
+                ((ox, oy + 0.5), (1.0, 0.0), e),        # edge y = 1
+                ((ox, oy), (1.0, 1.0), e),              # face diagonals
+                ((ox, oy), (1.0, -1.0), e),
+                ((ox, oy), (0.0, 1.0), b),              # straight bisectors
+                ((ox, oy), (1.0, 0.0), b)]
     c60 = (0.5, SQRT3 / 2.0)
     c120 = (-0.5, SQRT3 / 2.0)
     edges = [((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), c60), ((1.0, 0.0), c120)]
     c30 = (SQRT3 / 2.0, 0.5)
     c150 = (-SQRT3 / 2.0, 0.5)
     medians = [((0.0, 0.0), c30), ((1.0, 0.0), c150), ((0.5, SQRT3 / 2), (0.0, 1.0))]
-    if f.enlargement_depth:
-        for p, d in edges:
-            out.append((p, d, f.edge_sign))
-        # only the propagated median family remains a mirror
-        out.append((medians[0][0], medians[0][1], f.bisector_sign))
-    else:
-        for p, d in edges:
-            out.append((p, d, f.edge_sign))
-        for p, d in medians:
-            out.append((p, d, f.bisector_sign))
+    out = [(p, d, f.edge_sign) for p, d in edges]
+    # after an enlargement only the propagated median family remains a mirror
+    for p, d in medians[:1] if f.enlargement_depth else medians:
+        out.append((p, d, f.bisector_sign))
     return out
 
 
@@ -570,15 +551,10 @@ def admissible_orbits(kind: PolyhedronKind, nmax: int):
     Raises ValueError unless nmax <= LATTICE_LIMIT.
     """
     _check_bound(nmax)
-    if kind in (PolyhedronKind.TETRAHEDRON, PolyhedronKind.ICOSAHEDRON):
-        types = (SymmetryType.ONE_PLUS, SymmetryType.ONE_MINUS)
-    else:
-        types = (SymmetryType.PP, SymmetryType.MM, SymmetryType.PM,
-                 SymmetryType.MP)
     _, ks, js = _sweep(nmax, square=kind is PolyhedronKind.CUBE)
     out = []
     for orbit in zip(ks.tolist(), js.tolist()):
-        for t in types:
+        for t in _admitted_types(kind):
             try:
                 build_trig_eigenfunction(kind, t, orbit)
             except InadmissibleOrbitError:

@@ -48,7 +48,6 @@ class SurfaceMesh:
     elements: np.ndarray             # (E, 3) int64, planar vertex indices
     dof_count: int
     planar_count: int
-    _face_element_start: tuple
 
     @property
     def element_areas(self) -> np.ndarray:
@@ -160,7 +159,6 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
         elements=elements,
         dof_count=dof_count,
         planar_count=planar_count,
-        _face_element_start=tuple(range(0, len(elements), len(template))),
     )
 
 
@@ -218,7 +216,8 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
     if fi is None:
         raise OutOfDomainError(f"point ({x}, {y}) lies outside the net")
     f = net.faces[fi]
-    start = mesh._face_element_start[fi]
+    # every face holds the same number of elements, in face order
+    start = fi * (len(mesh.elements) // len(net.faces))
     if net.kind is PolyhedronKind.CUBE:
         a, b = f.cell
         u = min(max((x - a) * r, 0.0), float(r))

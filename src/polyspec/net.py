@@ -10,7 +10,10 @@ square corners live on the integer lattice.
 
 The face tables below fix one chain per polyhedron.  They are validated by the
 package invariants (Euler characteristic 2, cone angles, glue involution) and,
-downstream, by reproducing the known spectra.
+downstream, by reproducing the known spectra.  Every other per-surface
+constant follows from a table's face count F and its V vertex labels: the
+area is F unit faces, the strip is F/2 (triangles) or F (squares) cells wide,
+and by Gauss-Bonnet each of the V equal cone angles is 2 pi (V - 2) / V.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ class PolyhedronKind(enum.Enum):
                 return kind
         raise ValueError(f"unknown polyhedron {name!r}; expected one of "
                          + ", ".join(k.value for k in cls))
-
-    @property
-    def is_triangular(self) -> bool:
-        return self is not PolyhedronKind.CUBE
 
 
 # Chain tables: one (cell, corner labels) entry per face, in chain order.
@@ -100,27 +99,6 @@ _NET_TABLES = {
         ((3, -1), (0, 2, 6, 4)),
         ((4, -1), (2, 3, 7, 6)),
     ),
-}
-
-_STRIP_WIDTH = {
-    PolyhedronKind.TETRAHEDRON: 2,
-    PolyhedronKind.OCTAHEDRON: 4,
-    PolyhedronKind.ICOSAHEDRON: 10,
-    PolyhedronKind.CUBE: 6,
-}
-
-_CONE_ANGLE = {
-    PolyhedronKind.TETRAHEDRON: math.pi,
-    PolyhedronKind.OCTAHEDRON: 4 * math.pi / 3,
-    PolyhedronKind.ICOSAHEDRON: 5 * math.pi / 3,
-    PolyhedronKind.CUBE: 3 * math.pi / 2,
-}
-
-_AREA = {
-    PolyhedronKind.TETRAHEDRON: SQRT3,
-    PolyhedronKind.OCTAHEDRON: 2 * SQRT3,
-    PolyhedronKind.ICOSAHEDRON: 5 * SQRT3,
-    PolyhedronKind.CUBE: 6.0,
 }
 
 
@@ -304,7 +282,9 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
             positions.setdefault(lab, [])
             if v not in positions[lab]:
                 positions[lab].append(v)
-    angle = _CONE_ANGLE[kind]
+    # Gauss-Bonnet: the V equal cone deficits 2 pi - angle sum to 4 pi
+    n_cones = len(positions)
+    angle = 2 * math.pi * (n_cones - 2) / n_cones
     cones = tuple(ConePoint(label=lab, position=pos[0], angle=angle,
                             positions=tuple(pos))
                   for lab, pos in sorted(positions.items()))
@@ -314,8 +294,8 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
         faces=faces,
         identifications=tuple(glues),
         cone_points=cones,
-        strip_width=_STRIP_WIDTH[kind],
-        area=_AREA[kind],
+        strip_width=len(faces) if is_cube else len(faces) // 2,
+        area=len(faces) * (1.0 if is_cube else SQRT3 / 4),
         cone_angle=angle,
         _glue_of=glue_of,
         _interior=interior,

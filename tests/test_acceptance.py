@@ -20,6 +20,7 @@ import pytest
 
 import polyspec as ps
 from polyspec import PolyhedronKind
+from polyspec.analysis import richardson_extrapolate
 from polyspec.analytic import SymmetryType as ST
 
 ND = 4 * math.pi ** 2 / 3
@@ -30,11 +31,6 @@ PAPER_COUNTS = {
     PolyhedronKind.ICOSAHEDRON: 165249,
     PolyhedronKind.CUBE: 99201,
 }
-
-
-def _richardson(coarse, fine):
-    """Order-2 limit (4 fine - coarse) / 3 of values at r and 2r, by index."""
-    return (4 * np.asarray(fine, float) - np.asarray(coarse, float)) / 3
 
 
 def _rayleigh(bench, f, r):
@@ -97,8 +93,8 @@ def test_criterion_02_tetra_spectrum(bench):
 def test_criterion_03_octahedron_values(bench):
     t0 = time.time()
     vals = bench.normalized(PolyhedronKind.OCTAHEDRON, 32, 62)
-    limit = _richardson(bench.normalized(PolyhedronKind.OCTAHEDRON, 16, 62),
-                        vals)
+    limit = richardson_extrapolate(
+        bench.normalized(PolyhedronKind.OCTAHEDRON, 16, 62), vals)
     clusters = ps.group_clusters(vals, rel_tol=0.005)
     limit_clusters = ps.group_clusters(limit, rel_tol=0.005)
     targets = [(4 / 3, 2), (4.0, 2), (16 / 3, 2), (28 / 3, 4),
@@ -229,7 +225,7 @@ def test_criterion_07_trig_eigenfunction_suite(bench):
                 failures.append(f"{tag}: Rayleigh of constant")
             continue
         q16 = _rayleigh(bench, f, 16)
-        limit = _richardson(q16, q32)
+        limit = richardson_extrapolate(q16, q32)
         if abs(limit - exact) > 0.02 * exact:
             failures.append(
                 f"{tag}: Rayleigh limit {limit:.4f} vs {exact:.4f} "
@@ -325,7 +321,8 @@ def test_criterion_09_counting_remainders(bench):
                  PolyhedronKind.CUBE):
         coarse, fine = ([p.value for p in bench.pairs(kind, r, 200)]
                         for r in (16, 32))
-        fem_series = ps.make_counting_series(kind, _richardson(coarse, fine))
+        fem_series = ps.make_counting_series(
+            kind, richardson_extrapolate(coarse, fine))
         table = ps.remainder_series(fem_series, fem_series.coverage, 400)
         a_top = float(table.a[-1])
         print(f"    {kind.value}: A(top covered t={table.t[-1]:.2f}) = "

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import polyspec as ps
 from polyspec import PolyhedronKind
-from polyspec.analysis import COUNTING_CONSTANT, WEYL_SLOPE
+from polyspec.analysis import counting_constants
 
 from conftest import KINDS
 
@@ -31,22 +31,28 @@ def test_normalize_examples():
 
 
 def test_weyl_slopes_are_area_over_4pi():
-    areas = {PolyhedronKind.TETRAHEDRON: SQRT3,
-             PolyhedronKind.OCTAHEDRON: 2 * SQRT3,
-             PolyhedronKind.ICOSAHEDRON: 5 * SQRT3,
-             PolyhedronKind.CUBE: 6.0}
+    # literal slopes; the values derived from the net match them bit for bit
+    slopes = {PolyhedronKind.TETRAHEDRON: SQRT3 / (4 * math.pi),
+              PolyhedronKind.OCTAHEDRON: SQRT3 / (2 * math.pi),
+              PolyhedronKind.ICOSAHEDRON: 5 * SQRT3 / (4 * math.pi),
+              PolyhedronKind.CUBE: 3 / (2 * math.pi)}
     for kind in KINDS:
-        assert abs(WEYL_SLOPE[kind] - areas[kind] / (4 * math.pi)) < 1e-15
-        assert abs(WEYL_SLOPE[kind] * 4 * math.pi
-                   - ps.build_net(kind).area) < 1e-12
+        slope, _ = counting_constants(kind)
+        assert slope == slopes[kind]
+        assert slope == ps.build_net(kind).area / (4 * math.pi)
+        assert ps.make_counting_series(kind, [0.0]).weyl_slope == slope
 
 
 def test_counting_constants():
     from fractions import Fraction
-    assert COUNTING_CONSTANT[PolyhedronKind.TETRAHEDRON] == Fraction(1, 2)
-    assert COUNTING_CONSTANT[PolyhedronKind.OCTAHEDRON] == Fraction(5, 12)
-    assert COUNTING_CONSTANT[PolyhedronKind.ICOSAHEDRON] == Fraction(11, 30)
-    assert COUNTING_CONSTANT[PolyhedronKind.CUBE] == Fraction(7, 18)
+    want = {PolyhedronKind.TETRAHEDRON: Fraction(1, 2),
+            PolyhedronKind.OCTAHEDRON: Fraction(5, 12),
+            PolyhedronKind.ICOSAHEDRON: Fraction(11, 30),
+            PolyhedronKind.CUBE: Fraction(7, 18)}
+    for kind in KINDS:
+        _, c = counting_constants(kind)
+        assert type(c) is Fraction and c == want[kind]
+        assert ps.make_counting_series(kind, [0.0]).c == float(want[kind])
 
 
 def test_aitken_examples():
@@ -171,3 +177,16 @@ def test_group_clusters():
     vals = [0.0, 1.0001, 1.0002, 1.0, 3.0, 3.0004, 9.5]
     groups = ps.group_clusters(vals, rel_tol=0.005)
     assert [m for _, m in groups] == [1, 3, 2, 1]
+
+
+def test_cluster_rules_split_alike():
+    # gaps 0.5 at value 0.5 and 2 at value 4 sit exactly on the bound
+    # 0.5 * max(1, value) and do not split; 1 at 1.5 and 8 at 12 do
+    vals = [0.0, 0.5, 1.5, 2.0, 4.0, 12.0, 16.0]
+    pairs = [ps.EigenPair(value=v, vector=e)
+             for v, e in zip(vals, np.eye(len(vals)))]
+    M = np.eye(len(vals))
+    projected = [s.stop - s.start
+                 for s, _ in ps.eigen.cluster_projector(pairs, M, rel_gap=0.5)]
+    grouped = [n for _, n in ps.group_clusters(vals, rel_tol=0.5)]
+    assert projected == grouped == [2, 3, 2]

@@ -173,7 +173,12 @@ def test_element_order_oracle(kind, r, bench):
     elements, starts = _elements_oracle(mesh)
     assert np.array_equal(mesh.elements, elements)
     assert mesh.elements.dtype == np.int64
-    assert mesh._face_element_start == starts
+    # locate takes face fi's first element to be fi * (elements per face)
+    per_face = len(elements) // len(mesh.net.faces)
+    assert starts == tuple(range(0, len(elements), per_face))
+    for start in starts:
+        centroid = mesh.planar_vertices[elements[start]].mean(axis=0)
+        assert ps.locate(mesh, centroid)[0] == start
 
 
 def test_locate_centroid(bench):

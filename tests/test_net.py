@@ -28,10 +28,12 @@ def test_build_net_basic(kind):
     want = EXPECT[kind]
     assert len(net.faces) == want["faces"]
     assert net.strip_width == want["width"]
-    assert abs(net.area - want["area"]) < 1e-12
+    # derived from the face table, bit-identical to the literal values
+    assert net.area == want["area"]
     assert len(net.cone_points) == want["cones"]
+    assert net.cone_angle == want["angle"]
     for c in net.cone_points:
-        assert abs(c.angle - want["angle"]) < 1e-12
+        assert c.angle == want["angle"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
