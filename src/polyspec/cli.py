@@ -42,12 +42,16 @@ def _kind(args) -> PolyhedronKind:
     return PolyhedronKind.parse(args.polyhedron)
 
 
-def _solve_pairs(kind, resolution, num_eigs, tol, seed):
-    mesh = build_mesh(build_net(kind), resolution)
+def _solve_pairs(mesh, num_eigs, tol, seed):
     K, M = fem.assemble(mesh)
     m = min(num_eigs, mesh.dof_count)
     pairs = eigen.solve_lowest(K, M, m, tol=tol, seed=seed)
-    return mesh, K, M, pairs
+    return K, M, pairs
+
+
+def _at_least_two(name, value):
+    if value < 2:
+        raise PolyspecError(f"{name} must be >= 2, got {value}")
 
 
 def _cmd_mesh(args) -> int:
@@ -66,8 +70,8 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_solve(args) -> int:
     kind = _kind(args)
-    mesh, K, M, pairs = _solve_pairs(kind, args.resolution, args.num_eigs,
-                                     args.tol, args.seed)
+    mesh = build_mesh(build_net(kind), args.resolution)
+    K, M, pairs = _solve_pairs(mesh, args.num_eigs, args.tol, args.seed)
     rows = ["index,lambda,normalized"]
     for i, p in enumerate(pairs):
         rows.append(f"{i},{_fmt(p.value)},"
@@ -88,7 +92,12 @@ def _cmd_analytic(args) -> int:
     if args.eval:
         if args.type is None or args.orbit is None:
             raise PolyspecError("--eval requires --type and --orbit")
-        k, j = (int(x) for x in args.orbit.split(","))
+        _at_least_two("--grid", args.grid)
+        try:
+            k, j = (int(x) for x in args.orbit.split(","))
+        except ValueError:
+            raise PolyspecError(f"--orbit expects two integers k,j, got "
+                                f"{args.orbit!r}") from None
         f = analytic.build_trig_eigenfunction(
             kind, analytic.SymmetryType.parse(args.type), (k, j))
         net = build_net(kind)
@@ -161,6 +170,7 @@ def _cmd_extrapolate(args) -> int:
 
 def _cmd_count(args) -> int:
     kind = _kind(args)
+    _at_least_two("--samples", args.samples)
     if args.source == "exact":
         if kind is not PolyhedronKind.TETRAHEDRON:
             raise PolyspecError("exact counting series exist for the "
@@ -173,8 +183,8 @@ def _cmd_count(args) -> int:
         ev = analytic.exact_tetra_eigenvalues(np.ceil(nmax))
         series = analysis.make_counting_series(kind, ev)
     else:
-        _, _, _, pairs = _solve_pairs(kind, args.resolution, args.num_eigs,
-                                      args.tol, args.seed)
+        mesh = build_mesh(build_net(kind), args.resolution)
+        _, _, pairs = _solve_pairs(mesh, args.num_eigs, args.tol, args.seed)
         series = analysis.make_counting_series(kind,
                                                [p.value for p in pairs])
     tmax = args.tmax
@@ -208,14 +218,19 @@ def _cmd_classify(args) -> int:
 
 def _cmd_slice(args) -> int:
     kind = _kind(args)
-    mesh, _, _, pairs = _solve_pairs(kind, args.resolution,
-                                     args.index + 1, args.tol, args.seed)
-    vec = pairs[args.index].vector
+    _at_least_two("--samples", args.samples)
+    mesh = build_mesh(build_net(kind), args.resolution)
+    if not 0 <= args.index < mesh.dof_count:
+        raise PolyspecError(f"--index {args.index} outside 0.."
+                            f"{mesh.dof_count - 1}: the mesh has "
+                            f"{mesh.dof_count} DOFs")
     xs = mesh.planar_vertices[:, 0]
     ys = mesh.planar_vertices[:, 1]
     if not ys.min() - 1e-9 <= args.y0 <= ys.max() + 1e-9:
         raise PolyspecError(f"y0={args.y0} outside the net's y-range "
                             f"[{ys.min():.6g}, {ys.max():.6g}]")
+    _, _, pairs = _solve_pairs(mesh, args.index + 1, args.tol, args.seed)
+    vec = pairs[args.index].vector
     rows = ["s,value"]
     for x in np.linspace(xs.min(), xs.max(), args.samples):
         try:

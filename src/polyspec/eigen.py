@@ -4,13 +4,17 @@ solve_lowest targets the m smallest eigenvalues with shift-invert Lanczos
 (ARPACK via scipy), seeded for reproducibility; K - sigma M is factored once
 with a symmetric minimum-degree ordering and every Lanczos step reuses that
 factor.  A K returned by fem.assemble carries its mesh.  If K and M are
-invariant under the mesh's symmetry permutations, that solver runs once per
-symmetry sector (see polyspec.symmetry), on pencils of about n/4 or n/8
-DOFs, and the lifted pairs are merged; a copy of K, a matrix built any other
-way, or data edited out of invariance is solved whole.  dense_solve is the
-full-spectrum direct oracle for small problems.  Both return M-normalized
-eigenvectors with a deterministic sign convention; solve_lowest checks the
-residual contract in the full pencil.
+invariant under the mesh's symmetry permutations, the pencil splits into
+symmetry sectors of about n/4 or n/8 DOFs (see polyspec.symmetry).  Sectors
+that a symmetry maps onto each other have the same spectrum, so that solver
+runs once per orbit of conjugate sectors (4 of 8 on the octahedron and the
+icosahedron, 3 of 4 on the tetrahedron, 4 of 4 on the cube), and each pair
+found is lifted into every sector of its orbit by a DOF permutation; a copy
+of K, a matrix built any other way, or data edited out of invariance is
+solved whole.  dense_solve is the full-spectrum direct oracle for small
+problems.  Both return M-normalized eigenvectors with a deterministic sign
+convention; solve_lowest checks the residual contract in the full pencil,
+copied pairs included.
 """
 
 from __future__ import annotations
@@ -130,35 +134,52 @@ def _lowest(K, M, m, v0, maxiter, spent):
 
 
 def _lowest_by_sector(sectors, n, m, seed, maxiter):
-    """The m lowest pairs of the sector pencils, merged and lifted by v = B y.
+    """The m lowest pairs of the sector pencils, merged and lifted.
 
-    Sector i of size n_i first asks for ceil(m n_i / n) + _SECTOR_MARGIN
-    pairs.  The merge is certified once every sector is exhausted or its
-    largest computed value exceeds the merged m-th value; a sector that is
-    neither is solved again for twice as many pairs.
+    Only one sector per orbit of conjugate sectors is solved; every value it
+    finds counts once per sector in its orbit.  Sector i of size n_i first
+    asks for ceil(m n_i / n) + _SECTOR_MARGIN pairs.  The merge is certified
+    once every sector is exhausted or its largest computed value exceeds the
+    merged m-th value; a sector that is neither is solved again for twice as
+    many pairs.  Of the merged pairs, only the m lowest are lifted: by
+    v = B y in the representative, and by moving v through the DOF
+    permutation in each conjugate sector.
     """
-    sizes = [B.shape[1] for B, _, _ in sectors]
+    sizes = [s.basis.shape[1] for s in sectors]
     want = [min(size, -(-m * size // n) + _SECTOR_MARGIN) for size in sizes]
     found = {}
     applications = 0
     todo = [i for i, size in enumerate(sizes) if size]
     while todo:
         for i in todo:
-            _, Ks, Ms = sectors[i]
-            v0 = np.random.default_rng([seed, i]).standard_normal(sizes[i])
-            vals, vecs, used = _lowest(Ks, Ms, want[i], v0, maxiter,
+            s = sectors[i]
+            v0 = np.random.default_rng([seed, s.character]).standard_normal(
+                sizes[i])
+            vals, vecs, used = _lowest(s.K, s.M, want[i], v0, maxiter,
                                        applications)
             applications += used
             found[i] = (vals, vecs)
-        top = np.sort(np.concatenate([v for v, _ in found.values()]))[m - 1]
+        merged = np.concatenate([np.tile(vals, 1 + len(sectors[i].copies))
+                                 for i, (vals, _) in found.items()])
+        top = np.sort(merged)[m - 1]
         todo = [i for i, (vals, _) in found.items()
                 if want[i] < sizes[i] and vals.max() <= top]
         for i in todo:
             want[i] = min(sizes[i], 2 * want[i])
-    vals = np.concatenate([v for v, _ in found.values()])
-    vecs = np.hstack([sectors[i][0] @ y for i, (_, y) in found.items()])
-    order = np.argsort(vals, kind="stable")[:m]
-    return vals[order], vecs[:, order], applications
+    # entry e of merged is column j of sector i's copy k (0: the sector)
+    entries = [(i, k, j) for i, (vals, _) in found.items()
+               for k in range(1 + len(sectors[i].copies))
+               for j in range(len(vals))]
+    order = np.argsort(merged, kind="stable")[:m]
+    vecs = np.empty((n, m), order="F")
+    for col, e in enumerate(order):
+        i, k, j = entries[e]
+        v = sectors[i].basis @ found[i][1][:, j]
+        if k:
+            vecs[sectors[i].copies[k - 1], col] = v
+        else:
+            vecs[:, col] = v
+    return merged[order], vecs, applications
 
 
 def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
@@ -166,9 +187,10 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     """The m smallest eigenpairs of K u = lambda M u, sorted ascending.
 
     A K from assemble carries its mesh; if K and M are invariant under the
-    mesh's symmetry permutations, each symmetry sector is solved on its own
-    (see polyspec.symmetry) and the lifted pairs are merged.  Any other
-    pencil is solved whole.  Either way the residual contract is checked in
+    mesh's symmetry permutations, one symmetry sector per orbit of conjugate
+    sectors is solved on its own (see polyspec.symmetry), and its pairs are
+    merged and lifted once per sector in the orbit.  Any other pencil is
+    solved whole.  Either way the residual contract is checked in
     the full pencil.
 
     Parameters
@@ -178,7 +200,7 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     m : int
         Number of eigenpairs, 1 <= m <= dim.
     tol : float
-        Relative residual target per pair (>= 1e-12).
+        Relative residual target per pair (finite, >= 1e-12).
     seed : int
         Seeds the Lanczos starting vectors; fixed seeds reproduce results.
     maxiter : int, optional
@@ -189,13 +211,14 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     NoConvergenceError
         If the residual contract cannot be met within the iteration budget;
         its ``iterations`` counts the shift-invert operator applications,
-        summed over the sectors solved so far.
+        summed over the sectors actually solved so far (one per orbit of
+        conjugate sectors; the others are never solved).
     """
     n = K.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} outside 1..{n}")
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    if not (np.isfinite(tol) and tol >= 1e-12):
+        raise ValueError(f"tol must be finite and >= 1e-12, got {tol}")
     sectors = symmetry.split(K, M)
     if sectors is None:
         v0 = np.random.default_rng(seed).standard_normal(n)

@@ -21,7 +21,10 @@ class NoConvergenceError(PolyspecError):
     """The iterative eigensolver could not meet the residual contract.
 
     ``iterations`` is the number of operator applications (solves with the
-    factored K - sigma M) made before the failure.
+    factored K - sigma M) made before the failure, summed over the Lanczos
+    runs so far.  On the symmetry-sector path those are the runs of the
+    sectors actually solved, one per orbit of conjugate sectors; the other
+    sectors are copied and add nothing.
     """
 
     def __init__(self, message, iterations=None, worst_residual=None):

@@ -11,11 +11,19 @@ splits M- and K-orthogonally into one invariant sector per character
 Their Applications, 1992).  Each sector has a basis B of +-1 columns, one per
 H-orbit of DOFs whose stabilizer the character is trivial on, so the pencil
 splits into the 2^k independent pencils (B^T K B, B^T M B).
+
+The normalizer N of H permutes its characters: an element n of N carries
+sector chi onto sector h -> chi(n^-1 h n).  Sectors in one N-orbit of
+characters therefore have the same spectrum, and the eigenvectors of one are
+those of the orbit's representative, moved by n's DOF permutation.  split
+returns the representatives only, each with the permutations onto its
+conjugates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -27,6 +35,28 @@ from .net import PolyhedronKind, build_net
 # element contributions in a mesh-dependent order, so P A P^T equals A only
 # to a few ulp
 INVARIANCE_TOL = 1e-12
+
+
+def _compose(a, b):
+    """The label permutation that applies b, then a."""
+    return tuple(a[x] for x in b)
+
+
+def _spanned(gens, identity):
+    """{element: (generator, parent)} of the group gens generate.
+
+    Breadth first from the identity (whose entry is None); every other
+    element is _compose(generator, parent).
+    """
+    tree = {identity: None}
+    queue = [identity]
+    for x in queue:
+        for g in gens:
+            y = _compose(g, x)
+            if y not in tree:
+                tree[y] = (g, x)
+                queue.append(y)
+    return tree
 
 
 @lru_cache(maxsize=None)
@@ -98,11 +128,7 @@ def sector_generators(kind: PolyhedronKind) -> tuple:
     group = label_group(kind)
     identity = group[0]
     assert identity == tuple(range(len(identity)))
-
-    def compose(a, b):
-        return tuple(a[x] for x in b)
-
-    involutions = [g for g in group[1:] if compose(g, g) == identity]
+    involutions = [g for g in group[1:] if _compose(g, g) == identity]
     # the subgroup's order 2^rank divides the group's order
     most = (len(group) & -len(group)).bit_length() - 1
     best = ()
@@ -115,12 +141,81 @@ def sector_generators(kind: PolyhedronKind) -> tuple:
             if len(best) == most:
                 return
             g = involutions[i]
-            if g not in span and all(compose(g, h) == compose(h, g)
+            if g not in span and all(_compose(g, h) == _compose(h, g)
                                      for h in gens):
-                grow(gens + (g,), span | {compose(g, h) for h in span}, i + 1)
+                grow(gens + (g,), span | {_compose(g, h) for h in span}, i + 1)
 
     grow((), {identity}, 0)
     return best
+
+
+class SectorOrbits(NamedTuple):
+    """How the normalizer N of the sector group H permutes H's characters.
+
+    normalizer lists N in label_group's order, generators is a generating
+    set of N, orbits holds the character orbits in order of their smallest
+    character, which comes first and is the orbit's representative, and
+    conjugators[c] is an element of N that carries the sector of c's
+    representative onto sector c (the identity for a representative).
+    Characters are numbered as in sector_bases.
+    """
+
+    normalizer: tuple
+    generators: tuple
+    orbits: tuple
+    conjugators: tuple
+
+
+@lru_cache(maxsize=None)
+def sector_orbits(kind: PolyhedronKind) -> SectorOrbits:
+    """The normalizer of sector_generators' group and its character orbits.
+
+    Orbit sizes 1, 2, 1 (tetrahedron), 1, 3, 3, 1 (octahedron and
+    icosahedron) and 1, 1, 1, 1 (cube).  N's generators are picked greedily:
+    each is the first element, in group order, whose addition spans the most.
+    """
+    group = label_group(kind)
+    gens = sector_generators(kind)
+    identity = group[0]
+    elements = [identity]               # element b composes the gens in b
+    for g in gens:
+        elements += [_compose(g, h) for h in elements]
+    # masks[n][i] is the bitmask of n^-1 g_i n, which is h exactly when
+    # g_i n = n h; n is in N when each of them is in H
+    masks = {}
+    for n in group:
+        after = {_compose(n, h): b for b, h in enumerate(elements)}
+        bits = [after.get(_compose(g, n)) for g in gens]
+        if None not in bits:
+            masks[n] = bits
+    normalizer = tuple(masks)
+
+    def act(n, c):
+        # the character h -> chi_c(n^-1 h n), whose bit i is chi_c's sign
+        # on n^-1 g_i n
+        return sum((bin(b & c).count("1") & 1) << i
+                   for i, b in enumerate(masks[n]))
+
+    generators, span = (), {identity}
+    while len(span) < len(normalizer):
+        # the first element, in group order, that spans the most
+        generators += (max((n for n in normalizer if n not in span),
+                           key=lambda n: len(_spanned(generators + (n,),
+                                                      identity))),)
+        span = _spanned(generators, identity)
+    orbits, conjugators = [], [None] * len(elements)
+    for c in range(len(elements)):
+        if conjugators[c] is None:
+            orbit = [c]
+            conjugators[c] = identity
+            for n in normalizer:
+                d = act(n, c)
+                if conjugators[d] is None:
+                    orbit.append(d)
+                    conjugators[d] = n
+            orbits.append(tuple(orbit))
+    return SectorOrbits(normalizer, generators, tuple(orbits),
+                        tuple(conjugators))
 
 
 def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
@@ -172,14 +267,15 @@ def is_invariant(A, perm) -> bool:
     return bool(diff <= INVARIANCE_TOL * abs(A).max())
 
 
-def sector_bases(perms, n: int) -> list:
+def sector_bases(perms, n: int, characters=None) -> list:
     """One sparse n-by-n_chi basis per character of the group perms generate.
 
     Character c takes the value (-1)^popcount(b & c) on the element that
     composes the generators in bitmask b.  Its basis has one column per
     orbit (ordered by smallest DOF) whose stabilizer c is trivial on; the
     column is +-1 on the orbit, with sign c(h) at h(smallest DOF).  The
-    column counts sum to n.
+    column counts sum to n.  characters, if given, lists the characters
+    whose bases are returned, in that order; by default all are.
     """
     images = [np.arange(n)]
     for g in perms:
@@ -191,7 +287,7 @@ def sector_bases(perms, n: int) -> list:
     stabilizes = images[:, orbit] == orbit             # (|H|, orbits)
     elements = np.arange(len(images))
     bases = []
-    for c in range(len(images)):
+    for c in range(len(images)) if characters is None else characters:
         odd = np.array([bin(b & c).count("1") % 2 for b in elements],
                        dtype=bool)
         sign = np.where(odd, -1.0, 1.0)
@@ -220,13 +316,29 @@ def _project(A, first, sizes, B):
     return S
 
 
+class Sector(NamedTuple):
+    """One representative sector and the DOF permutations onto its conjugates.
+
+    A pair (lambda, y) of the sector pencil (K, M) lifts to v = basis @ y;
+    its copy in the sector that perm (an entry of copies) leads to is the w
+    with w[perm] = v.
+    """
+
+    character: int
+    basis: sparse.csr_matrix
+    K: sparse.csr_matrix
+    M: sparse.csr_matrix
+    copies: tuple
+
+
 def split(K, M):
-    """Sector pencils [(B, B^T K B, B^T M B)], or None to solve (K, M) whole.
+    """Representative sector pencils [Sector], or None to solve (K, M) whole.
 
     Only a K that assemble returned carries its mesh; any other matrix (a
-    copy, a test matrix) has none.  The sectors are returned, one per
-    character and possibly empty, only if K and M are invariant under every
-    generator, which also rejects data edited in place.
+    copy, a test matrix) has none.  The sectors are returned, one per orbit
+    of conjugate characters and possibly empty, only if K and M are
+    invariant under each generator of the normalizer N, which contains H
+    and every conjugator; this also rejects data edited in place.
     """
     mesh = getattr(K, "_mesh", None)
     n = K.shape[0]
@@ -234,14 +346,31 @@ def split(K, M):
             or not sparse.issparse(M) or M.shape != K.shape):
         return None
     K, M = K.tocsr(), M.tocsr()
-    perms = [dof_permutation(mesh, g)
-             for g in sector_generators(mesh.net.kind)]
-    if not all(is_invariant(A, p) for p in perms for A in (K, M)):
+    kind = mesh.net.kind
+    orbits = sector_orbits(kind)
+    identity = orbits.normalizer[0]
+    tree = _spanned(orbits.generators, identity)
+    perms = {identity: np.arange(n)}
+
+    def perm(sigma):
+        # N's generators are computed from the mesh, every other element is
+        # composed from them along the breadth-first tree
+        if sigma not in perms:
+            g, parent = tree[sigma]
+            perms[sigma] = (dof_permutation(mesh, g) if parent == identity
+                            else perm(g)[perm(parent)])
+        return perms[sigma]
+
+    if not all(is_invariant(A, perm(g))
+               for g in orbits.generators for A in (K, M)):
         return None
+    bases = sector_bases([perm(g) for g in sector_generators(kind)], n,
+                         [orbit[0] for orbit in orbits.orbits])
     sectors = []
-    for B in sector_bases(perms, n):
+    for orbit, B in zip(orbits.orbits, bases):
         C = B.tocsc()
         first, sizes = C.indices[C.indptr[:-1]], np.diff(C.indptr)
-        sectors.append((B, _project(K, first, sizes, B),
-                        _project(M, first, sizes, B)))
+        copies = tuple(perm(orbits.conjugators[c]) for c in orbit[1:])
+        sectors.append(Sector(orbit[0], B, _project(K, first, sizes, B),
+                              _project(M, first, sizes, B), copies))
     return sectors

@@ -238,6 +238,37 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--polyhedron", "cube", "--resolution", "2", "--num-eigs",
+      "3", "--tol", "nan"], "tol must be finite"),
+    (["solve", "--polyhedron", "cube", "--resolution", "2", "--num-eigs",
+      "0"], "m=0"),
+    (["slice", "--polyhedron", "cube", "--resolution", "2", "--index", "99",
+      "--y0", "0.5"], "26 DOFs"),
+    (["slice", "--polyhedron", "cube", "--resolution", "2", "--index", "-1",
+      "--y0", "0.5"], "26 DOFs"),
+    (["slice", "--polyhedron", "cube", "--resolution", "2", "--index", "1",
+      "--y0", "0.5", "--samples", "1"], "--samples must be >= 2"),
+    (["analytic", "--polyhedron", "cube", "--eval", "--type", "++",
+      "--orbit", "2,0", "--grid", "1"], "--grid must be >= 2"),
+    (["analytic", "--polyhedron", "cube", "--eval", "--type", "++",
+      "--orbit", "2"], "--orbit expects two integers"),
+    (["analytic", "--polyhedron", "cube", "--nmax", "nan"], "finite"),
+    (["count", "--polyhedron", "tetrahedron", "--source", "exact",
+      "--tmax", "5", "--samples", "1"], "samples must be >= 2"),
+], ids=["tol_nan", "num_eigs_0", "slice_index_99", "slice_index_negative",
+        "slice_samples_1", "eval_grid_1", "orbit_one_number", "nmax_nan",
+        "count_samples_1"])
+def test_bad_input_exits_1_without_traceback(tmp_path, capsys, args,
+                                             message):
+    out = tmp_path / "o.csv"
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_atomic_write_preserves_old_file_on_error(tmp_path):
     out = tmp_path / "keep.csv"
     out.write_text("precious\n")

@@ -174,6 +174,10 @@ def test_solve_lowest_validates_arguments(bench):
         ps.solve_lowest(K, M, 0)
     with pytest.raises(ValueError):
         ps.solve_lowest(K, M, 2, tol=1e-14)
+    # a NaN or infinite tol would make the residual check never fire
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            ps.solve_lowest(K, M, 2, tol=tol)
 
 
 def test_no_convergence_reports_operator_applications(bench, monkeypatch):
@@ -201,7 +205,8 @@ def test_no_convergence_reports_operator_applications(bench, monkeypatch):
     maxiter = 1000
     monkeypatch.setattr(ps.eigen, "_lowest", counted)
     monkeypatch.setattr(ps.eigen, "residual", lambda K, M, pair: 1.0)
-    for K, M, solves in ((K4.copy(), M4, 1), (K8, M8, 8)):
+    # the octahedron's 8 sectors form 4 orbits, one solve each
+    for K, M, solves in ((K4.copy(), M4, 1), (K8, M8, 4)):
         runs.clear()
         with pytest.raises(ps.NoConvergenceError) as info:
             ps.solve_lowest(K, M, 8, seed=0, maxiter=maxiter)

@@ -15,6 +15,14 @@ GROUPS = {
     PolyhedronKind.ICOSAHEDRON: (120, 8),
     PolyhedronKind.CUBE: (4, 4),
 }
+# (order of the normalizer of the sector group, orbit sizes of its action on
+# the characters)
+ORBITS = {
+    PolyhedronKind.TETRAHEDRON: (8, [1, 2, 1]),
+    PolyhedronKind.OCTAHEDRON: (48, [1, 3, 3, 1]),
+    PolyhedronKind.ICOSAHEDRON: (24, [1, 3, 3, 1]),
+    PolyhedronKind.CUBE: (4, [1, 1, 1, 1]),
+}
 
 
 def compose(a, b):
@@ -84,6 +92,92 @@ def test_sector_bases_split_the_dofs(kind, r, bench):
     assert np.all(np.diag(gram) > 0)
 
 
+def characters_of(V, perms):
+    """The character of each column of V, read off its exact H-signs."""
+    out = []
+    for v in V.T:
+        c = 0
+        for i, perm in enumerate(perms):
+            image = v[np.argsort(perm)]
+            assert np.array_equal(image, v) or np.array_equal(image, -v)
+            c |= (not np.array_equal(image, v)) << i
+        out.append(c)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_normalizer_orbits(kind):
+    order, sizes = ORBITS[kind]
+    orbits = sym.sector_orbits(kind)
+    assert sym.sector_orbits(kind) is orbits
+    group = sym.label_group(kind)
+    identity = group[0]
+    assert len(orbits.normalizer) == order and identity in orbits.normalizer
+    assert set(orbits.normalizer) <= set(group)
+    assert len(orbits.generators) == 2
+    assert set(sym._spanned(orbits.generators, identity)) == \
+        set(orbits.normalizer)
+    assert set(sym.sector_generators(kind)) <= set(orbits.normalizer)
+    assert [len(o) for o in orbits.orbits] == sizes
+    assert sorted(c for o in orbits.orbits for c in o) == \
+        list(range(GROUPS[kind][1]))
+    for orbit in orbits.orbits:
+        assert orbit[0] == min(orbit)
+        assert orbits.conjugators[orbit[0]] == identity
+        assert all(orbits.conjugators[c] in orbits.normalizer for c in orbit)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [4, 7])
+def test_conjugate_sectors_share_the_spectrum(kind, r, bench):
+    mesh = bench.mesh(kind, r)
+    K, M = bench.matrices(kind, r)
+    n = mesh.dof_count
+    orbits = sym.sector_orbits(kind)
+    perms = [sym.dof_permutation(mesh, g) for g in sym.sector_generators(kind)]
+    bases = sym.sector_bases(perms, n)
+    sectors = sym.split(K, M)
+    assert [s.character for s in sectors] == [o[0] for o in orbits.orbits]
+
+    def spectrum(B):
+        return np.array([p.value for p in ps.dense_solve(B.T @ K @ B,
+                                                         B.T @ M @ B)])
+
+    for orbit, sector in zip(orbits.orbits, sectors):
+        rep = spectrum(bases[orbit[0]])
+        assert len(sector.copies) == len(orbit) - 1
+        for c, copy in zip(orbit[1:], sector.copies):
+            assert np.array_equal(
+                copy, sym.dof_permutation(mesh, orbits.conjugators[c]))
+            # the conjugator carries the representative's basis into sector
+            # c: every H generator acts on the moved columns with c's sign
+            moved = sparse.csr_matrix(bases[orbit[0]])[np.argsort(copy)]
+            for i, perm in enumerate(perms):
+                sign = -1.0 if c >> i & 1 else 1.0
+                assert (moved[np.argsort(perm)] != sign * moved).nnz == 0
+            other = spectrum(bases[c])
+            assert len(other) == len(rep)
+            assert np.all(np.abs(other - rep) <= 1e-12 * np.maximum(1.0, rep))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_copies_repeat_their_representative_bit_for_bit(kind, bench):
+    mesh = bench.mesh(kind, 16)
+    K, M = bench.matrices(kind, 16)
+    n, m = K.shape[0], 60
+    sectors = sym.split(K, M)
+    vals, vecs, _ = ps.eigen._lowest_by_sector(sectors, n, m, 0, None)
+    assert vecs.shape == (n, m) and np.all(np.diff(vals) >= 0)
+    perms = [sym.dof_permutation(mesh, g) for g in sym.sector_generators(kind)]
+    chars = characters_of(vecs, perms)
+    # every value below the m-th is kept in each sector of its orbit
+    below = vals < vals[-1]
+    for orbit in sym.sector_orbits(kind).orbits:
+        rep = vals[below & (chars == orbit[0])]
+        for c in orbit[1:]:
+            assert np.array_equal(vals[below & (chars == c)], rep)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_sectors_match_the_whole_pencil(kind, bench):
     K, M = bench.matrices(kind, 16)
@@ -123,7 +217,8 @@ def test_zero_margin_merges_through_resolves(kind, bench, monkeypatch):
     monkeypatch.setattr(ps.eigen, "_SECTOR_MARGIN", 0)
     monkeypatch.setattr(ps.eigen, "_lowest", counted)
     got = np.array([p.value for p in ps.solve_lowest(K, M, m)])
-    assert len(runs) > GROUPS[kind][1]          # some sector ran twice
+    # some sector ran twice; only one sector per orbit is ever solved
+    assert len(runs) > len(sym.sector_orbits(kind).orbits)
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
 
 
@@ -147,3 +242,31 @@ def test_untagged_or_edited_pencils_are_solved_whole(bench):
         dense = ps.dense_solve(A, M)[:10]
         assert np.allclose([p.value for p in pairs],
                            [p.value for p in dense], rtol=1e-10, atol=1e-12)
+
+
+def test_h_invariant_but_not_n_invariant_pencils_are_solved_whole(bench):
+    kind = PolyhedronKind.OCTAHEDRON
+    mesh = bench.mesh(kind, 8)
+    K, M = bench.matrices(kind, 8)
+    # scale one off-diagonal pair, then average over H only
+    E = K.copy().tolil()
+    i = K.shape[0] // 3
+    j = max(k for k in K[i].indices if k != i)
+    E[i, j] *= 1.5
+    E[j, i] *= 1.5
+    E = E.tocsr()
+    images = [np.arange(K.shape[0])]
+    for g in sym.sector_generators(kind):
+        p = sym.dof_permutation(mesh, g)
+        images += [p[h] for h in images]
+    A = sum(conjugated(E, p) for p in images) / len(images)
+    A._mesh = mesh
+    assert all(sym.is_invariant(A, p) for p in images)
+    assert not all(sym.is_invariant(A, sym.dof_permutation(mesh, g))
+                   for g in sym.sector_orbits(kind).generators)
+    assert sym.split(A, M) is None
+    pairs = ps.solve_lowest(A, M, 10, seed=0)
+    assert max(ps.residual(A, M, p) for p in pairs) <= 1e-9
+    dense = ps.dense_solve(A, M)[:10]
+    assert np.allclose([p.value for p in pairs], [p.value for p in dense],
+                       rtol=1e-10, atol=1e-12)
