@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import (SQUARE_NORMALIZER, TRIANGLE_NORMALIZER, exact_spectrum)
+from .analytic import exact_spectrum, normalizer
 from .eigen import cluster_slices
 from .errors import InsufficientSpectrumError
 from .net import PolyhedronKind, build_net
@@ -34,16 +34,9 @@ def counting_constants(kind: PolyhedronKind) -> tuple[float, Fraction]:
     return net.area / (4 * math.pi), v * (1 / q - q) / 12
 
 
-def normalizer(kind: PolyhedronKind) -> float:
-    """Division constant turning raw eigenvalues into lattice-integer scale."""
-    if kind is PolyhedronKind.CUBE:
-        return SQUARE_NORMALIZER
-    return TRIANGLE_NORMALIZER
-
-
 def normalize(lam: float, kind: PolyhedronKind) -> float:
     """Normalized eigenvalue: lambda / (4 pi^2 / 3), or lambda / pi^2 (cube)."""
-    if lam < 0:
+    if not lam >= 0:                        # also rejects nan
         raise ValueError("eigenvalue must be >= 0")
     return lam / normalizer(kind)
 
@@ -82,6 +75,8 @@ class CountingSeries:
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
         if ev.ndim != 1 or len(ev) == 0:
             raise ValueError("eigenvalues must be a nonempty 1-D array")
+        if not np.isfinite(ev).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
         if ev[0] > 1e-6:
@@ -102,7 +97,7 @@ def make_counting_series(kind: PolyhedronKind, eigenvalues) -> CountingSeries:
 
 def counting(series: CountingSeries, t: float) -> int:
     """N(t): number of eigenvalues <= t, including the zero eigenvalue."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
     return int(np.searchsorted(series.eigenvalues, t, side="right"))
 
@@ -156,7 +151,7 @@ def remainder_series(series: CountingSeries, tmax: float,
     D and A require the series to cover [0, tmax]; g(t) = sqrt(t) * A(t^2)
     additionally needs coverage up to t^2 and is emitted only where covered.
     """
-    if tmax <= 0:
+    if not tmax > 0:
         raise ValueError("tmax must be > 0")
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -192,9 +187,9 @@ def classify(normalized_lambda: float, kind: PolyhedronKind,
     witness); singular otherwise.  A numerical-identification heuristic, not
     a proof.
     """
-    if normalized_lambda < 0:
+    if not normalized_lambda >= 0:
         raise ValueError("normalized eigenvalue must be >= 0")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     # the spectrum always holds 0; min keeps the first of equally near lines
     line = min(exact_spectrum(kind, normalized_lambda + tol + 1.0),

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (InadmissibleOrbitError, NotOctahedronError,
                      NotOneDimensionalTypeError, OutOfDomainError)
-from .net import SQRT3, PolyhedronKind, build_net
+from .net import (SQRT3, PolyhedronKind, build_net, face_containing,
+                  lattice_to_xy, xy_to_lattice)
 
 # dual-lattice generators of the hexagonal torus: |u|^2 = |v|^2 = 1/3, u.v = 1/6
 U_VEC = (0.5, SQRT3 / 6.0)
@@ -38,6 +39,13 @@ LATTICE_LIMIT = 1e5
 
 _FOLD_EPS = 1e-12
 _MAX_FOLDS = 4096
+
+
+def normalizer(kind: PolyhedronKind) -> float:
+    """Division constant turning raw eigenvalues into lattice-integer scale."""
+    if kind is PolyhedronKind.CUBE:
+        return SQUARE_NORMALIZER
+    return TRIANGLE_NORMALIZER
 
 
 class SymmetryType(enum.Enum):
@@ -269,9 +277,8 @@ class TrigEigenfunction:
 
     @property
     def lambda_value(self) -> float:
-        base = SQUARE_NORMALIZER if self.kind is PolyhedronKind.CUBE \
-            else TRIANGLE_NORMALIZER
-        return base * self.norm_value / 3 ** self.enlargement_depth
+        return (normalizer(self.kind) * self.norm_value
+                / 3 ** self.enlargement_depth)
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -432,8 +439,7 @@ def _fold_triangular(x, y):
     Returns lattice coordinates (sigma, tau) inside the cell and the number of
     reflections applied per point (mod 2 determines the orientation sign).
     """
-    s = x - y / SQRT3
-    t = 2.0 * y / SQRT3
+    s, t = xy_to_lattice(x, y)
     parity = np.zeros(s.shape, dtype=np.int64)
     for _ in range(_MAX_FOLDS):
         m = t < -_FOLD_EPS
@@ -480,13 +486,12 @@ def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
+    net = build_net(f.kind)
     if check_domain:
-        from .mesh import _face_containing
-        net = build_net(f.kind)
         for x, y in pts:
-            if _face_containing(net, float(x), float(y), 1e-9) is None:
+            if face_containing(net, float(x), float(y)) is None:
                 raise OutOfDomainError(f"point ({x}, {y}) is not on the net")
-    ox, oy = build_net(f.kind).formula_origin
+    ox, oy = net.formula_origin
     x = pts[:, 0] - ox
     y = pts[:, 1] - oy
 
@@ -494,25 +499,19 @@ def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
         fx, kx = _fold_axis(x)
         fy, ky = _fold_axis(y)
         sign = np.where((kx + ky) % 2 == 0, 1.0, float(f.edge_sign))
-        vals = sign * _trig_sum(f, np.column_stack([fx, fy]))
     else:
         s, t, parity = _fold_triangular(x, y)
         sign = np.where(parity % 2 == 0, 1.0, float(f.edge_sign))
         if f.enlargement_depth:
             swap = t > s
             sign = np.where(swap, sign * f.bisector_sign, sign)
-            s2 = np.where(swap, t, s)
-            t2 = np.where(swap, s, t)
-            qx = s2 + 0.5 * t2
-            qy = t2 * (SQRT3 / 2.0)
+            s, t = np.where(swap, t, s), np.where(swap, s, t)
+        fx, fy = lattice_to_xy(s, t)
+        if f.enlargement_depth:
             # similarity half-face -> sixth-face: rotate 30 deg, shrink sqrt 3
-            rx = qx * 0.5 - qy / (2.0 * SQRT3)
-            ry = qx / (2.0 * SQRT3) + qy * 0.5
-            vals = sign * _trig_sum(f, np.column_stack([rx, ry]))
-        else:
-            qx = s + 0.5 * t
-            qy = t * (SQRT3 / 2.0)
-            vals = sign * _trig_sum(f, np.column_stack([qx, qy]))
+            fx, fy = (fx * 0.5 - fy / (2.0 * SQRT3),
+                      fx / (2.0 * SQRT3) + fy * 0.5)
+    vals = sign * _trig_sum(f, np.column_stack([fx, fy]))
     return float(vals[0]) if single else vals
 
 
@@ -531,12 +530,11 @@ def mirror_lines(f: TrigEigenfunction):
                 ((ox, oy), (1.0, -1.0), e),
                 ((ox, oy), (0.0, 1.0), b),              # straight bisectors
                 ((ox, oy), (1.0, 0.0), b)]
-    c60 = (0.5, SQRT3 / 2.0)
-    c120 = (-0.5, SQRT3 / 2.0)
+    c60, c120 = lattice_to_xy(0, 1), lattice_to_xy(-1, 1)
     edges = [((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), c60), ((1.0, 0.0), c120)]
     c30 = (SQRT3 / 2.0, 0.5)
     c150 = (-SQRT3 / 2.0, 0.5)
-    medians = [((0.0, 0.0), c30), ((1.0, 0.0), c150), ((0.5, SQRT3 / 2), (0.0, 1.0))]
+    medians = [((0.0, 0.0), c30), ((1.0, 0.0), c150), (c60, (0.0, 1.0))]
     out = [(p, d, f.edge_sign) for p, d in edges]
     # after an enlargement only the propagated median family remains a mirror
     for p, d in medians[:1] if f.enlargement_depth else medians:

@@ -171,6 +171,8 @@ def _cmd_extrapolate(args) -> int:
 def _cmd_count(args) -> int:
     kind = _kind(args)
     _at_least_two("--samples", args.samples)
+    if not args.tmax > 0:                   # also rejects nan
+        raise PolyspecError(f"--tmax must be > 0, got {args.tmax}")
     if args.source == "exact":
         if kind is not PolyhedronKind.TETRAHEDRON:
             raise PolyspecError("exact counting series exist for the "

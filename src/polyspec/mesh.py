@@ -8,6 +8,11 @@ are merged into shared degrees of freedom, one per connected component of the
 glue graph.  Every face has the same local grid, so its elements come from one
 element template per resolution, indexed by the face's planar vertex ids.  The
 result is a triangulation of the closed surface with no boundary.
+
+This module owns the face grid and its point index: face_grid lists each
+face's grid points in the frame of its corners 0, 1 and the last, which
+locate shares, and grid_index finds points in planar_lattice; symmetry's
+DOF permutations use both.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import OutOfDomainError
-from .net import SQRT3, PolyhedronKind, PolyhedronNet, build_net
+from .net import (PolyhedronKind, PolyhedronNet, face_containing,
+                  lattice_to_xy)
 
-_LOCATE_TOL = 1e-9
+# sort key s * 2**32 + t: orders integer points by (s, t), distinct while
+# |s| and |t| stay below 2**31
+_KEY = np.array([1 << 32, 1], dtype=np.int64)
 
 
 def expected_planar_count(net: PolyhedronNet, r: int) -> int:
@@ -57,10 +65,37 @@ class SurfaceMesh:
         return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
 
+def face_grid(corners, r: int) -> np.ndarray:
+    """Integer grid points of faces at resolution r, shape (faces, points, 2).
+
+    corners is a (faces, sides, 2) array of integer face corners.  With A, B
+    and C a face's corners 0, 1 and the last, its points are A*(r-i-j) + B*i
+    + C*j in row order (by i, then j): i + j <= r on a triangle; on a square
+    every 0 <= i, j <= r, i.e. A*r + (i, j).
+    """
+    corners = np.asarray(corners, dtype=np.int64)
+    steps = np.arange(r + 1)
+    bound = 2 * r if corners.shape[1] == 4 else r
+    i, j = np.nonzero(np.add.outer(steps, steps) <= bound)
+    return np.column_stack([r - i - j, i, j]) @ corners[:, [0, 1, -1]]
+
+
+def grid_index(lattice: np.ndarray, points) -> np.ndarray:
+    """Row of each integer point in lattice, shaped like points[..., 0].
+
+    lattice holds distinct points sorted by (s, t), as a mesh's
+    planar_lattice does; every point must be one of its rows.
+    """
+    keys = lattice @ _KEY
+    ids = np.minimum(np.searchsorted(keys, points @ _KEY), len(keys) - 1)
+    assert np.array_equal(lattice[ids], points), "not a grid point"
+    return ids
+
+
 def _element_template(r: int, is_cube: bool) -> np.ndarray:
     """One face's elements as local grid ids, in the order locate relies on.
 
-    Local ids number the face's grid points (i, j) row by row, as build_mesh
+    Local ids number the face's grid points (i, j) row by row, as face_grid
     lists them.  Square cells come in row-major order, each split along the
     planar lower-left -> upper-right diagonal into (00, 10, 11) then
     (00, 11, 01).  Row i of triangle cells holds 2(r - i) - 1 elements,
@@ -82,38 +117,25 @@ def _element_template(r: int, is_cube: bool) -> np.ndarray:
     return np.stack([up, down], axis=1)[has_down]
 
 
-def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
+def build_mesh(net: PolyhedronNet, r: int) -> SurfaceMesh:
     """Refine a net at resolution r and identify glued boundary grid points.
 
     Parameters
     ----------
-    net_or_kind : PolyhedronNet | PolyhedronKind
-        Net to refine (a kind is accepted for convenience).
+    net : PolyhedronNet
+        Net to refine.
     r : int
         Subintervals per unit edge, r >= 1.
     """
-    net = build_net(net_or_kind) if isinstance(net_or_kind, PolyhedronKind) \
-        else net_or_kind
     if r < 1:
         raise ValueError(f"resolution must be >= 1, got {r}")
     is_cube = net.kind is PolyhedronKind.CUBE
 
-    # integer grid points A*(r-i-j) + B*i + C*j of every face, shape (faces,
-    # points per face, 2): i + j <= r on a triangle ABC; on a square, whose
-    # B and C are corners 1 and 3, every 0 <= i, j <= r, i.e. A*r + (i, j)
-    steps = np.arange(r + 1)
-    i, j = np.nonzero(np.add.outer(steps, steps) <= (2 * r if is_cube else r))
-    corners = np.array([f.corners for f in net.faces], dtype=np.int64)
-    corners = corners[:, [0, 1, 3] if is_cube else [0, 1, 2]]
-    grid = np.column_stack([r - i - j, i, j]) @ corners
-
-    # one int64 key per point, ordered like its (s, t) row
-    off = int(grid.min())
-    mul = int(grid.max()) - off + 1
-    keys = (grid[..., 0] - off) * mul + (grid[..., 1] - off)
-    sorted_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
-    lattice = np.column_stack(np.divmod(sorted_keys, mul)) + off
-    planar_count = len(sorted_keys)
+    grid = face_grid([f.corners for f in net.faces], r)
+    _, first, inverse = np.unique((grid @ _KEY).ravel(), return_index=True,
+                                  return_inverse=True)
+    lattice = grid.reshape(-1, 2)[first]
+    planar_count = len(lattice)
 
     template = _element_template(r, is_cube)
     face_offset = np.arange(0, inverse.size, grid.shape[1])[:, None, None]
@@ -123,29 +145,19 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
     if is_cube:
         xy = lattice.astype(np.float64) / r
     else:
-        s = lattice[:, 0].astype(np.float64)
-        t = lattice[:, 1].astype(np.float64)
-        xy = np.column_stack([(s + 0.5 * t) / r, t * (SQRT3 / 2) / r])
+        xy = np.column_stack(lattice_to_xy(lattice[:, 0], lattice[:, 1])) / r
 
     # glued boundary grid points share a DOF: connected components of the
     # glue graph, labelled in order of first occurrence
-    ends_a, ends_b = [], []
+    edges = []
     for g in net.identifications:
-        (pa0, pa1) = net.faces[g.face_a].edge_corners(g.edge_a)
-        (pb0, pb1) = net.faces[g.face_b].edge_corners(g.edge_b)
-        if g.orientation == "reversed":
-            pb0, pb1 = pb1, pb0
-        a0, a1, b0, b1 = (np.array(p, dtype=np.int64)
-                          for p in (pa0, pa1, pb0, pb1))
-        ends_a.append(a0 * r + (a1 - a0) * steps[:, None])
-        ends_b.append(b0 * r + (b1 - b0) * steps[:, None])
-    glued = np.concatenate(ends_a + ends_b)
-    glue_keys = (glued[:, 0] - off) * mul + (glued[:, 1] - off)
-    ids = np.minimum(np.searchsorted(sorted_keys, glue_keys), planar_count - 1)
-    assert np.array_equal(sorted_keys[ids], glue_keys), \
-        "glue point is not a grid point"
-    ids = ids.reshape(2, -1)
-    graph = coo_matrix((np.ones(ids.shape[1]), (ids[0], ids[1])),
+        b = net.faces[g.face_b].edge_corners(g.edge_b)
+        edges += [net.faces[g.face_a].edge_corners(g.edge_a),
+                  b[::-1] if g.orientation == "reversed" else b]
+    p0, p1 = np.array(edges, dtype=np.int64)[:, :, None].swapaxes(0, 1)
+    ids = grid_index(lattice, p0 * r + (p1 - p0) * np.arange(r + 1)[:, None])
+    graph = coo_matrix((np.ones(ids.size // 2),
+                        (ids[0::2].ravel(), ids[1::2].ravel())),
                        shape=(planar_count, planar_count))
     dof_count, dof_of = connected_components(graph, directed=False)
     dof_of = dof_of.astype(np.int64)
@@ -162,81 +174,36 @@ def build_mesh(net_or_kind, r: int) -> SurfaceMesh:
     )
 
 
-def _face_containing(net: PolyhedronNet, x: float, y: float, tol: float):
-    """Face index containing (x, y), or None."""
-    if net.kind is PolyhedronKind.CUBE:
-        cand = []
-        for fa in (math.floor(x), math.floor(x - tol),
-                   math.floor(x + tol)):
-            for fb in (math.floor(y), math.floor(y - tol),
-                       math.floor(y + tol)):
-                cand.append((fa, fb))
-        for cell in dict.fromkeys(cand):
-            fi = net._cell_face.get(cell)
-            if fi is None:
-                continue
-            a, b = cell
-            if a - tol <= x <= a + 1 + tol and b - tol <= y <= b + 1 + tol:
-                return fi
-        return None
-    s = x - y / SQRT3
-    t = 2.0 * y / SQRT3
-    for da in (0, -1, 1):
-        for db in (0, -1, 1):
-            a = math.floor(s) + da
-            b = math.floor(t) + db
-            sig, tau = s - a, t - b
-            for o in (0, 1):
-                cell = (o, a, b)
-                fi = net._cell_face.get(cell)
-                if fi is None:
-                    continue
-                if o == 0:
-                    inside = (sig >= -tol and tau >= -tol
-                              and sig + tau <= 1 + tol)
-                else:
-                    inside = (sig <= 1 + tol and tau <= 1 + tol
-                              and sig + tau >= 1 - tol)
-                if inside:
-                    return fi
-    return None
-
-
 def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
     """Find the element containing a planar point and its barycentric coords.
 
     Returns (element index, barycentric coordinates w.r.t. the element's three
     planar vertices).  Raises OutOfDomainError if p lies outside the net
-    beyond the 1e-9 tolerance.
+    beyond the 1e-9 tolerance or is not finite.
     """
     x, y = float(p[0]), float(p[1])
     net = mesh.net
     r = mesh.resolution
-    fi = _face_containing(net, x, y, _LOCATE_TOL)
+    fi = face_containing(net, x, y)
     if fi is None:
         raise OutOfDomainError(f"point ({x}, {y}) lies outside the net")
-    f = net.faces[fi]
+    # grid coordinates (u, v) in face_grid's frame: p = A + (u*(B-A) +
+    # v*(C-A)) / r with A, B, C the face's corners 0, 1 and the last
+    verts = net.faces[fi].vertices
+    (ax, ay), (bx, by), (cx, cy) = verts[0], verts[1], verts[-1]
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    u = ((x - ax) * (cy - ay) - (y - ay) * (cx - ax)) / det
+    v = ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / det
+    u = min(max(u * r, 0.0), float(r))
+    v = min(max(v * r, 0.0), float(r))
+    i = min(math.floor(u), r - 1)
+    j = min(math.floor(v), r - 1)
     # every face holds the same number of elements, in face order
     start = fi * (len(mesh.elements) // len(net.faces))
     if net.kind is PolyhedronKind.CUBE:
-        a, b = f.cell
-        u = min(max((x - a) * r, 0.0), float(r))
-        v = min(max((y - b) * r, 0.0), float(r))
-        i = min(math.floor(u), r - 1)
-        j = min(math.floor(v), r - 1)
         fu, fv = u - i, v - j
-        cell_idx = i * r + j
-        eidx = start + 2 * cell_idx + (0 if fv <= fu else 1)
+        eidx = start + 2 * (i * r + j) + (0 if fv <= fu else 1)
     else:
-        # affine coordinates within the face: p = A + u*(B-A) + v*(C-A)
-        (ax, ay), (bx, by), (cx, cy) = f.vertices
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        u = ((x - ax) * (cy - ay) - (y - ay) * (cx - ax)) / det
-        v = ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / det
-        u = min(max(u * r, 0.0), float(r))
-        v = min(max(v * r, 0.0), float(r))
-        i = min(math.floor(u), r - 1)
-        j = min(math.floor(v), r - 1)
         if i + j > r - 1:
             over = i + j - (r - 1)
             if u - i >= v - j:
@@ -244,13 +211,9 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
             else:
                 j -= over
         fu, fv = u - i, v - j
-        if fu + fv > 1.0 and i + j < r - 1:
-            down = 1
-        else:
-            down = 0
+        down = 1 if fu + fv > 1.0 and i + j < r - 1 else 0
         # element offset within the face: row i holds 2*(r-i)-1 elements
-        row_off = 2 * r * i - i * i
-        eidx = start + row_off + 2 * j + down
+        eidx = start + 2 * r * i - i * i + 2 * j + down
     (x0, y0), (x1, y1), (x2, y2) = \
         mesh.planar_vertices[mesh.elements[eidx]].tolist()
     det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)

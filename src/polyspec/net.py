@@ -14,6 +14,10 @@ downstream, by reproducing the known spectra.  Every other per-surface
 constant follows from a table's face count F and its V vertex labels: the
 area is F unit faces, the strip is F/2 (triangles) or F (squares) cells wide,
 and by Gauss-Bonnet each of the V equal cone angles is 2 pi (V - 2) / V.
+
+This module owns the lattice frame and point location: lattice_to_xy and
+xy_to_lattice convert triangular-lattice coordinates to cartesian and back,
+and face_containing finds the face under a planar point.
 """
 
 from __future__ import annotations
@@ -102,21 +106,25 @@ _NET_TABLES = {
 }
 
 
-def lattice_to_xy(s: float, t: float) -> tuple[float, float]:
-    """Map triangular-lattice coordinates to cartesian coordinates."""
+def lattice_to_xy(s, t):
+    """Map triangular-lattice coordinates (floats or arrays) to cartesian."""
     return (s + 0.5 * t, t * (SQRT3 / 2))
 
 
-def _triangle_cell_corners(cell):
+def xy_to_lattice(x, y):
+    """Map cartesian coordinates (floats or arrays) to triangular-lattice."""
+    return (x - y / SQRT3, 2.0 * y / SQRT3)
+
+
+def _cell_corners(kind, cell):
+    """Integer lattice corners of a table cell, in label order."""
+    if kind is PolyhedronKind.CUBE:
+        a, b = cell
+        return ((a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1))
     o, a, b = cell
     if o == 0:
         return ((a, b), (a + 1, b), (a, b + 1))
     return ((a + 1, b), (a + 1, b + 1), (a, b + 1))
-
-
-def _square_cell_corners(cell):
-    a, b = cell
-    return ((a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1))
 
 
 @dataclass(frozen=True)
@@ -222,12 +230,6 @@ class PolyhedronNet:
         return "\n".join(lines)
 
 
-def _corners_of(kind, cell):
-    if kind is PolyhedronKind.CUBE:
-        return _square_cell_corners(cell)
-    return _triangle_cell_corners(cell)
-
-
 @lru_cache(maxsize=None)
 def build_net(kind: PolyhedronKind) -> PolyhedronNet:
     """Build the net for one polyhedron.
@@ -238,7 +240,7 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
     is_cube = kind is PolyhedronKind.CUBE
     faces = []
     for idx, (cell, labels) in enumerate(table):
-        corners = _corners_of(kind, cell)
+        corners = _cell_corners(kind, cell)
         if is_cube:
             verts = tuple((float(s), float(t)) for s, t in corners)
         else:
@@ -302,6 +304,35 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
         _cell_face={f.cell: f.index for f in faces},
     )
     return net
+
+
+def face_containing(net: PolyhedronNet, x: float, y: float,
+                    tol: float = 1e-9):
+    """Face index containing (x, y) up to tol, or None (also if not finite)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return None
+    square = net.kind is PolyhedronKind.CUBE
+    s, t = (x, y) if square else xy_to_lattice(x, y)
+    for da in (0, -1, 1):
+        for db in (0, -1, 1):
+            a = math.floor(s) + da
+            b = math.floor(t) + db
+            sig, tau = s - a, t - b
+            for cell in ((a, b),) if square else ((0, a, b), (1, a, b)):
+                fi = net._cell_face.get(cell)
+                if fi is None:
+                    continue
+                if square:
+                    inside = -tol <= sig <= 1 + tol and -tol <= tau <= 1 + tol
+                elif cell[0] == 0:
+                    inside = (sig >= -tol and tau >= -tol
+                              and sig + tau <= 1 + tol)
+                else:
+                    inside = (sig <= 1 + tol and tau <= 1 + tol
+                              and sig + tau >= 1 - tol)
+                if inside:
+                    return fi
+    return None
 
 
 def glue_map(net: PolyhedronNet, face: int, edge: int, s: float):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sparse
 
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, face_grid, grid_index
 from .net import PolyhedronKind, build_net
 
 # largest ||P A P^T - A||_max / ||A||_max accepted as invariant; assembly sums
@@ -221,37 +221,23 @@ def sector_orbits(kind: PolyhedronKind) -> SectorOrbits:
 def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
     """The DOF permutation p of one label permutation: p[d] is d's image.
 
-    A face grid point has integer barycentric weights W = (r-i-j, i, j) on
-    the face's corners 0, 1, 2 (0, 1, 3 on a square).  Its image carries the
-    same weights on the image face's corners whose labels are the images of
-    those corners' labels.
+    face_grid lists a face's grid points by integer weights on its corners.
+    A point's image carries the same weights on the image face's corners
+    whose labels are the images of those corners' labels.
     """
-    net, r = mesh.net, mesh.resolution
-    is_cube = net.kind is PolyhedronKind.CUBE
-    local = [0, 1, 3] if is_cube else [0, 1, 2]
+    net = mesh.net
     face_of = {frozenset(f.labels): f for f in net.faces}
-    src, dst = [], []
+    images = []
     for f in net.faces:
         image = face_of[frozenset(sigma[x] for x in f.labels)]
-        src.append([f.corners[k] for k in local])
-        dst.append([image.corners[image.labels.index(sigma[f.labels[k]])]
-                    for k in local])
-    steps = np.arange(r + 1)
-    i, j = np.nonzero(np.add.outer(steps, steps) <= (2 * r if is_cube else r))
-    weights = np.column_stack([r - i - j, i, j])
-    lattice = mesh.planar_lattice
-    off = int(lattice.min())
-    mul = int(lattice.max()) - off + 1
-    keys = (lattice[:, 0] - off) * mul + (lattice[:, 1] - off)
+        images.append([image.corners[image.labels.index(sigma[x])]
+                       for x in f.labels])
 
     def dofs(corners):
-        grid = weights @ np.array(corners, dtype=np.int64)   # (F, P, 2)
-        k = ((grid[..., 0] - off) * mul + (grid[..., 1] - off)).ravel()
-        ids = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-        assert np.array_equal(keys[ids], k), "image point is not a grid point"
-        return mesh.dof_of[ids]
+        grid = face_grid(corners, mesh.resolution)
+        return mesh.dof_of[grid_index(mesh.planar_lattice, grid)].ravel()
 
-    a, b = dofs(src), dofs(dst)
+    a, b = dofs([f.corners for f in net.faces]), dofs(images)
     perm = np.empty(mesh.dof_count, dtype=np.int64)
     perm[a] = b
     assert np.array_equal(perm[a], b), "label permutation splits a DOF"

@@ -22,6 +22,26 @@ def tetra_series():
         PolyhedronKind.TETRAHEDRON, ps.exact_tetra_eigenvalues(220))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: ps.normalize(math.nan, PolyhedronKind.CUBE),
+     "eigenvalue must be >= 0"),
+    (lambda s: ps.counting(s, math.nan), "t must be >= 0"),
+    (lambda s: ps.remainder_series(s, math.nan, 5), "tmax must be > 0"),
+    (lambda s: ps.classify(math.nan, PolyhedronKind.CUBE),
+     "normalized eigenvalue must be >= 0"),
+    (lambda s: ps.classify(2.0, PolyhedronKind.CUBE, tol=math.nan),
+     "tol must be > 0"),
+    (lambda s: ps.make_counting_series(PolyhedronKind.CUBE, [0, math.nan, 5]),
+     "eigenvalues must be finite"),
+    (lambda s: ps.make_counting_series(PolyhedronKind.CUBE, [0, 5, math.inf]),
+     "eigenvalues must be finite"),
+], ids=["normalize", "counting", "remainder_series", "classify_value",
+        "classify_tol", "series_nan", "series_inf"])
+def test_nan_arguments_are_rejected(tetra_series, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tetra_series)
+
+
 def test_normalize_examples():
     assert ps.normalize(0.0, PolyhedronKind.OCTAHEDRON) == 0
     assert ps.normalize(ND * 7, PolyhedronKind.TETRAHEDRON) == pytest.approx(7, rel=1e-15)

@@ -8,6 +8,7 @@ import pytest
 
 import polyspec as ps
 from polyspec import PolyhedronKind
+from polyspec import cli
 from polyspec.cli import run
 
 ND = 4 * math.pi ** 2 / 3
@@ -164,6 +165,33 @@ def test_count_warns_and_truncates(tmp_path, capsys):
                 "--tmax", "1e6", "--samples", "4", "--resolution", "4",
                 "--num-eigs", "10", "--out", str(out)]) == 0
     assert "truncating" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["fem", "exact"])
+@pytest.mark.parametrize("tmax", ["nan", "0", "-1"])
+def test_count_checks_tmax_before_solving(tmp_path, capsys, monkeypatch,
+                                          source, tmax):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("count solved before checking --tmax")
+
+    monkeypatch.setattr(cli, "_solve_pairs", no_solve)
+    monkeypatch.setattr(cli.analytic, "exact_tetra_eigenvalues", no_solve)
+    out = tmp_path / "n.csv"
+    assert run(["count", "--polyhedron", "tetrahedron", "--source", source,
+                "--tmax", tmax, "--samples", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tmax must be > 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_count_fem_truncates_infinite_tmax(tmp_path, capsys):
+    out = tmp_path / "n.csv"
+    assert run(["count", "--polyhedron", "cube", "--source", "fem",
+                "--tmax", "inf", "--samples", "4", "--resolution", "4",
+                "--num-eigs", "10", "--out", str(out)]) == 0
+    assert "truncating tmax from inf" in capsys.readouterr().err
+    assert len(out.read_text().strip().split("\n")) == 5
 
 
 def test_classify_command(tmp_path):

@@ -1,0 +1,42 @@
+"""Module boundaries inside the package, checked on the source text.
+
+A module uses another polyspec module's public names only, and imports at
+module level only, so every dependency between modules is visible at the top
+of the file that has it.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "polyspec"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parsed():
+    for path in MODULES:
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def is_polyspec(node):
+    return node.level > 0 or (node.module or "").split(".")[0] == "polyspec"
+
+
+def test_sources_found():
+    assert {"mesh.py", "net.py", "analytic.py"} <= {p.name for p in MODULES}
+
+
+def test_no_private_names_imported_across_modules():
+    found = [f"{name}:{node.lineno} imports {alias.name}"
+             for name, tree in parsed() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and is_polyspec(node)
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, found
+
+
+def test_no_imports_inside_functions():
+    found = [f"{name}:{inner.lineno} imports inside {node.name}"
+             for name, tree in parsed() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node)
+             if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found, found

@@ -241,6 +241,32 @@ def test_locate_out_of_domain(bench):
         ps.locate(mesh, (0.0, -0.5))
 
 
+# a symmetry type each kind admits, for an eigenfunction on its net
+PLAIN_TYPE = {
+    PolyhedronKind.TETRAHEDRON: ps.SymmetryType.ONE_PLUS,
+    PolyhedronKind.OCTAHEDRON: ps.SymmetryType.PP,
+    PolyhedronKind.ICOSAHEDRON: ps.SymmetryType.ONE_PLUS,
+    PolyhedronKind.CUBE: ps.SymmetryType.PP,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", [(math.nan, 0.1), (0.1, math.nan),
+                               (math.inf, 0.1), (0.1, -math.inf)],
+                         ids=["nan_x", "nan_y", "inf_x", "minus_inf_y"])
+def test_non_finite_points_are_out_of_domain(kind, p, bench):
+    mesh = bench.mesh(kind, 2)
+    f = ps.build_trig_eigenfunction(kind, PLAIN_TYPE[kind], (2, 0))
+    with pytest.raises(ps.OutOfDomainError):
+        ps.locate(mesh, p)
+    with pytest.raises(ps.OutOfDomainError):
+        ps.interpolate(mesh, np.zeros(mesh.dof_count), p)
+    with pytest.raises(ps.OutOfDomainError):
+        ps.evaluate(f, p)
+    with pytest.raises(ps.OutOfDomainError):
+        ps.evaluate(f, [(0.1, 0.1), p])
+
+
 def test_build_mesh_rejects_bad_resolution():
     with pytest.raises(ValueError):
         ps.build_mesh(ps.build_net(PolyhedronKind.CUBE), 0)

@@ -5,6 +5,7 @@ import pytest
 
 import polyspec as ps
 from polyspec import PolyhedronKind
+from polyspec.net import face_containing
 
 from conftest import KINDS
 
@@ -114,6 +115,17 @@ def test_glue_endpoints_land_on_cone_points(kind):
             fb, eb, t = ps.glue_map(net, g.face_a, g.edge_a, s)
             assert near_cone(ps.edge_point(net, fb, eb, t))
             assert near_cone(ps.edge_point(net, g.face_a, g.edge_a, s))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_face_containing_finds_centroids_and_rejects_non_finite(kind):
+    net = ps.build_net(kind)
+    for f in net.faces:
+        x, y = np.mean(f.vertices, axis=0)
+        assert face_containing(net, x, y) == f.index
+    for x, y in [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1),
+                 (0.1, -math.inf)]:
+        assert face_containing(net, x, y) is None
 
 
 def test_interior_edge_raises():

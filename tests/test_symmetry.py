@@ -64,6 +64,48 @@ def test_pencil_is_invariant_under_every_group_element(kind, r, bench):
             assert sym.is_invariant(A, perm)
 
 
+def planar_oracle(mesh, sigma):
+    """sigma's DOF permutation from float planar coordinates alone.
+
+    The grid points of a face are the planar vertices inside its polygon.
+    The affine map that sends each face corner to the image face's corner
+    carrying the image label moves them onto planar vertices, which are
+    matched by coordinates rounded to 9 decimals.
+    """
+    net, xy = mesh.net, mesh.planar_vertices
+    row_of = {p: i for i, p in enumerate(map(tuple, np.round(xy, 9)))}
+    face_of = {frozenset(f.labels): f for f in net.faces}
+    perm = np.full(mesh.dof_count, -1)
+    for f in net.faces:
+        corners = np.array(f.vertices)
+        edges = np.roll(corners, -1, axis=0) - corners
+        rel = xy[:, None, :] - corners[None]
+        cross = edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0]
+        inside = np.flatnonzero((cross >= -1e-9).all(axis=1))
+        image = face_of[frozenset(sigma[x] for x in f.labels)]
+        target = [image.vertices[image.labels.index(sigma[x])]
+                  for x in f.labels]
+        ones = np.ones((len(corners), 1))
+        affine = np.linalg.lstsq(np.hstack([corners, ones]), np.array(target),
+                                 rcond=None)[0]
+        mapped = xy[inside] @ affine[:2] + affine[2]
+        for src, q in zip(inside, map(tuple, np.round(mapped, 9))):
+            d, e = mesh.dof_of[src], mesh.dof_of[row_of[q]]
+            assert perm[d] in (-1, e)
+            perm[d] = e
+    assert (perm >= 0).all()
+    return perm
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 7])
+def test_dof_permutation_matches_planar_oracle(kind, r, bench):
+    mesh = bench.mesh(kind, r)
+    for sigma in sym.label_group(kind):
+        assert np.array_equal(sym.dof_permutation(mesh, sigma),
+                              planar_oracle(mesh, sigma))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
 def test_sector_bases_split_the_dofs(kind, r, bench):
