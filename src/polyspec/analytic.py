@@ -505,7 +505,8 @@ def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
         if f.enlargement_depth:
             swap = t > s
             sign = np.where(swap, sign * f.bisector_sign, sign)
-            s, t = np.where(swap, t, s), np.where(swap, s, t)
+            s, t = (np.where(swap, t, s),
+                    np.where(swap, s, t))
         fx, fy = lattice_to_xy(s, t)
         if f.enlargement_depth:
             # similarity half-face -> sixth-face: rotate 30 deg, shrink sqrt 3
@@ -530,7 +531,8 @@ def mirror_lines(f: TrigEigenfunction):
                 ((ox, oy), (1.0, -1.0), e),
                 ((ox, oy), (0.0, 1.0), b),              # straight bisectors
                 ((ox, oy), (1.0, 0.0), b)]
-    c60, c120 = lattice_to_xy(0, 1), lattice_to_xy(-1, 1)
+    c60 = lattice_to_xy(0, 1)
+    c120 = lattice_to_xy(-1, 1)
     edges = [((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), c60), ((1.0, 0.0), c120)]
     c30 = (SQRT3 / 2.0, 0.5)
     c150 = (-SQRT3 / 2.0, 0.5)

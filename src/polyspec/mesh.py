@@ -202,7 +202,8 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
     start = fi * (len(mesh.elements) // len(net.faces))
     if net.kind is PolyhedronKind.CUBE:
         fu, fv = u - i, v - j
-        eidx = start + 2 * (i * r + j) + (0 if fv <= fu else 1)
+        cell_idx = i * r + j
+        eidx = start + 2 * cell_idx + (0 if fv <= fu else 1)
     else:
         if i + j > r - 1:
             over = i + j - (r - 1)
@@ -211,9 +212,13 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
             else:
                 j -= over
         fu, fv = u - i, v - j
-        down = 1 if fu + fv > 1.0 and i + j < r - 1 else 0
+        if fu + fv > 1.0 and i + j < r - 1:
+            down = 1
+        else:
+            down = 0
         # element offset within the face: row i holds 2*(r-i)-1 elements
-        eidx = start + 2 * r * i - i * i + 2 * j + down
+        row_off = 2 * r * i - i * i
+        eidx = start + row_off + 2 * j + down
     (x0, y0), (x1, y1), (x2, y2) = \
         mesh.planar_vertices[mesh.elements[eidx]].tolist()
     det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)

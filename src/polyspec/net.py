@@ -30,6 +30,7 @@ from functools import lru_cache
 from .errors import InteriorEdgeError
 
 SQRT3 = math.sqrt(3.0)
+_LOCATE_TOL = 1e-9
 
 
 class PolyhedronKind(enum.Enum):
@@ -117,14 +118,12 @@ def xy_to_lattice(x, y):
 
 
 def _cell_corners(kind, cell):
-    """Integer lattice corners of a table cell, in label order."""
+    """Integer corners of a table cell: its unit square, or half of it."""
+    a, b = cell[-2:]
+    square = ((a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1))
     if kind is PolyhedronKind.CUBE:
-        a, b = cell
-        return ((a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1))
-    o, a, b = cell
-    if o == 0:
-        return ((a, b), (a + 1, b), (a, b + 1))
-    return ((a + 1, b), (a + 1, b + 1), (a, b + 1))
+        return square
+    return square[1:] if cell[0] else square[:2] + square[3:]
 
 
 @dataclass(frozen=True)
@@ -306,22 +305,19 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
     return net
 
 
-def face_containing(net: PolyhedronNet, x: float, y: float,
-                    tol: float = 1e-9):
-    """Face index containing (x, y) up to tol, or None (also if not finite)."""
+def face_containing(net: PolyhedronNet, x: float, y: float):
+    """Face index containing (x, y) up to 1e-9, or None (also if not finite)."""
     if not (math.isfinite(x) and math.isfinite(y)):
         return None
     square = net.kind is PolyhedronKind.CUBE
     s, t = (x, y) if square else xy_to_lattice(x, y)
+    tol = _LOCATE_TOL
     for da in (0, -1, 1):
         for db in (0, -1, 1):
             a = math.floor(s) + da
             b = math.floor(t) + db
             sig, tau = s - a, t - b
             for cell in ((a, b),) if square else ((0, a, b), (1, a, b)):
-                fi = net._cell_face.get(cell)
-                if fi is None:
-                    continue
                 if square:
                     inside = -tol <= sig <= 1 + tol and -tol <= tau <= 1 + tol
                 elif cell[0] == 0:
@@ -330,8 +326,8 @@ def face_containing(net: PolyhedronNet, x: float, y: float,
                 else:
                     inside = (sig <= 1 + tol and tau <= 1 + tol
                               and sig + tau >= 1 - tol)
-                if inside:
-                    return fi
+                if inside and cell in net._cell_face:
+                    return net._cell_face[cell]
     return None
 
 

@@ -232,12 +232,9 @@ def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
         image = face_of[frozenset(sigma[x] for x in f.labels)]
         images.append([image.corners[image.labels.index(sigma[x])]
                        for x in f.labels])
-
-    def dofs(corners):
-        grid = face_grid(corners, mesh.resolution)
-        return mesh.dof_of[grid_index(mesh.planar_lattice, grid)].ravel()
-
-    a, b = dofs([f.corners for f in net.faces]), dofs(images)
+    # the grid points of every face, then of every face's image
+    grid = face_grid([f.corners for f in net.faces] + images, mesh.resolution)
+    a, b = mesh.dof_of[grid_index(mesh.planar_lattice, grid)].reshape(2, -1)
     perm = np.empty(mesh.dof_count, dtype=np.int64)
     perm[a] = b
     assert np.array_equal(perm[a], b), "label permutation splits a DOF"

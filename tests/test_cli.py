@@ -160,11 +160,13 @@ def test_count_exact_and_fem(tmp_path):
 
 
 def test_count_warns_and_truncates(tmp_path, capsys):
-    out = tmp_path / "n.csv"
-    assert run(["count", "--polyhedron", "cube", "--source", "fem",
-                "--tmax", "1e6", "--samples", "4", "--resolution", "4",
-                "--num-eigs", "10", "--out", str(out)]) == 0
-    assert "truncating" in capsys.readouterr().err
+    for tmax, shown in (("1e6", "1e+06"), ("inf", "inf")):
+        out = tmp_path / f"n_{tmax}.csv"
+        assert run(["count", "--polyhedron", "cube", "--source", "fem",
+                    "--tmax", tmax, "--samples", "4", "--resolution", "4",
+                    "--num-eigs", "10", "--out", str(out)]) == 0
+        assert f"truncating tmax from {shown}" in capsys.readouterr().err
+        assert len(out.read_text().strip().split("\n")) == 5
 
 
 @pytest.mark.parametrize("source", ["fem", "exact"])
@@ -183,15 +185,6 @@ def test_count_checks_tmax_before_solving(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: --tmax must be > 0")
     assert "Traceback" not in err
     assert not out.exists()
-
-
-def test_count_fem_truncates_infinite_tmax(tmp_path, capsys):
-    out = tmp_path / "n.csv"
-    assert run(["count", "--polyhedron", "cube", "--source", "fem",
-                "--tmax", "inf", "--samples", "4", "--resolution", "4",
-                "--num-eigs", "10", "--out", str(out)]) == 0
-    assert "truncating tmax from inf" in capsys.readouterr().err
-    assert len(out.read_text().strip().split("\n")) == 5
 
 
 def test_classify_command(tmp_path):
