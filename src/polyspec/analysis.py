@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import exact_spectrum, normalizer
+from .analytic import LATTICE_LIMIT, exact_spectrum, normalizer
 from .eigen import cluster_slices
 from .errors import InsufficientSpectrumError
 from .net import PolyhedronKind, build_net
@@ -169,6 +169,27 @@ def remainder_series(series: CountingSeries, tmax: float,
     return RemainderTable(t=t, n=n, d=d, a=a, g=g)
 
 
+# kind -> (bound, lines, values) of the largest exact_spectrum read so far
+_SPECTRA: dict = {}
+
+
+def _spectrum_table(kind: PolyhedronKind, top: float):
+    """Lines of exact_spectrum(kind, bound) and their float values.
+
+    bound doubles from 1 until it reaches top, capped at LATTICE_LIMIT, so a
+    column of values costs O(log(largest value)) spectrum builds.
+    """
+    table = _SPECTRA.get(kind)
+    if table is None or table[0] < top:
+        bound = table[0] if table else 1.0
+        while bound < top:
+            bound = min(2.0 * bound, LATTICE_LIMIT)
+        lines = exact_spectrum(kind, bound)
+        table = (bound, lines, np.array([float(sl.value) for sl in lines]))
+        _SPECTRA[kind] = table
+    return table[1], table[2]
+
+
 @dataclass(frozen=True)
 class Classification:
     """Result of the nonsingular/singular identification heuristic."""
@@ -191,9 +212,20 @@ def classify(normalized_lambda: float, kind: PolyhedronKind,
         raise ValueError("normalized eigenvalue must be >= 0")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    # the spectrum always holds 0; min keeps the first of equally near lines
-    line = min(exact_spectrum(kind, normalized_lambda + tol + 1.0),
-               key=lambda sl: abs(float(sl.value) - normalized_lambda))
+    top = normalized_lambda + tol + 1.0
+    if not top <= LATTICE_LIMIT:            # also rejects inf
+        raise ValueError(
+            f"normalized eigenvalue {normalized_lambda:g} with tol {tol:g} "
+            f"is out of range: value + tol + 1 must be at most "
+            f"{LATTICE_LIMIT:g}")
+    lines, values = _spectrum_table(kind, top)
+    # a line within tol lies below top, so it is in this table as in
+    # exact_spectrum(kind, top); values is sorted and holds 0, and of two
+    # equally near neighbours argmin keeps the lower one
+    i = int(np.searchsorted(values, normalized_lambda))
+    lo = max(i - 1, 0)
+    line = lines[lo + int(np.argmin(np.abs(values[lo:i + 1]
+                                           - normalized_lambda)))]
     if abs(float(line.value) - normalized_lambda) <= tol:
         return Classification(label="nonsingular", value=line.value,
                               witness=line.witness, tag=line.tag)

@@ -39,6 +39,9 @@ LATTICE_LIMIT = 1e5
 
 _FOLD_EPS = 1e-12
 _MAX_FOLDS = 4096
+# every triangular net lies in [0, 6] x [0, 4] of (s, t); the fold shifts
+# only points farther out than this, so no point of a net is shifted
+_FOLD_REACH = 8.0
 
 
 def normalizer(kind: PolyhedronKind) -> float:
@@ -440,6 +443,14 @@ def _fold_triangular(x, y):
     reflections applied per point (mod 2 determines the orientation sign).
     """
     s, t = xy_to_lattice(x, y)
+    far = np.maximum(np.abs(s), np.abs(t)) > _FOLD_REACH
+    if far.any():
+        # subtract a nearby point of the fold's translation lattice
+        # {(i, j) : i = j mod 3}; each is a product of two reflections, so
+        # the parity is unchanged
+        j = np.round(t)
+        i = j + 3.0 * np.round((s - j) / 3.0)
+        s, t = np.where(far, s - i, s), np.where(far, t - j, t)
     parity = np.zeros(s.shape, dtype=np.int64)
     for _ in range(_MAX_FOLDS):
         m = t < -_FOLD_EPS

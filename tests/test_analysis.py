@@ -1,14 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polyspec as ps
 from polyspec import PolyhedronKind
 from polyspec.analysis import counting_constants
+from polyspec.analytic import LATTICE_LIMIT
 
 from conftest import KINDS
 
@@ -191,6 +193,76 @@ def test_classify_is_tolerance_monotone():
                 big = ps.classify(v, kind, tol)
                 if small.label == "nonsingular":
                     assert big.label == "nonsingular"
+
+
+def rebuilt_classify(v, kind, tol):
+    """Reference classify: a fresh spectrum up to v + tol + 1 for each value."""
+    line = min(ps.exact_spectrum(kind, v + tol + 1.0),
+               key=lambda sl: abs(float(sl.value) - v))
+    if abs(float(line.value) - v) <= tol:
+        return ps.Classification("nonsingular", line.value, line.witness,
+                                 line.tag)
+    return ps.Classification("singular", None, None, None)
+
+
+ORACLE_TOLS = (1e-9, 0.02, 0.5, 2.0)
+
+
+@functools.cache
+def line_values(kind):
+    return [float(sl.value) for sl in ps.exact_spectrum(kind, 3000)]
+
+
+@st.composite
+def classify_cases(draw):
+    """(value, kind, tol): random values, exact lines, lines +- tol (the
+    boundary) and midpoints between neighbouring lines (ties)."""
+    kind = draw(st.sampled_from(KINDS))
+    tol = draw(st.sampled_from(ORACLE_TOLS))
+    lines = line_values(kind)
+    i = draw(st.integers(0, len(lines) - 2))
+    value = draw(st.sampled_from([
+        lines[i], lines[i] - tol, lines[i] + tol,
+        (lines[i] + lines[i + 1]) / 2,
+        draw(st.floats(0, lines[-1]))]))
+    assume(value >= 0)
+    return value, kind, tol
+
+
+@given(classify_cases())
+@settings(max_examples=400, deadline=None)
+def test_classify_matches_rebuilt_spectrum(case):
+    assert ps.classify(*case) == rebuilt_classify(*case)
+
+
+@given(st.floats(0, LATTICE_LIMIT - 3), st.sampled_from(KINDS),
+       st.sampled_from(ORACLE_TOLS))
+@settings(max_examples=25, deadline=None)
+def test_classify_matches_rebuilt_spectrum_up_to_the_limit(value, kind, tol):
+    assert ps.classify(value, kind, tol) == rebuilt_classify(value, kind, tol)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classify_range_error_matches_rebuilt_spectrum(kind):
+    tol = 0.02
+    edge = LATTICE_LIMIT - tol - 1.0
+    for value in (edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf),
+                  LATTICE_LIMIT, math.inf):
+        try:
+            want = rebuilt_classify(value, kind, tol)
+        except ValueError:
+            with pytest.raises(ValueError, match="at most 100000"):
+                ps.classify(value, kind, tol)
+        else:
+            assert ps.classify(value, kind, tol) == want
+
+
+def test_classify_range_error_names_value_and_tol():
+    with pytest.raises(ValueError) as info:
+        ps.classify(200000, PolyhedronKind.OCTAHEDRON)
+    message = str(info.value)
+    assert "200000" in message and "tol 0.02" in message
+    assert "at most 100000" in message and "200001" not in message
 
 
 def test_group_clusters():

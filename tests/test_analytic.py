@@ -388,6 +388,24 @@ def test_evaluate_out_of_domain():
     ps.evaluate(f, (-5.0, 0.3), check_domain=False)  # well-defined anyway
 
 
+@pytest.mark.parametrize("kind, sym_type, orbit, enlarged", [
+    (PolyhedronKind.TETRAHEDRON, ST.ONE_PLUS, (2, 0), False),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (4, 2), False),
+    (PolyhedronKind.OCTAHEDRON, ST.MP, (4, 2), True),
+    (PolyhedronKind.ICOSAHEDRON, ST.ONE_MINUS, (4, 2), False),
+], ids=["tetrahedron", "octahedron", "octahedron_enlarged", "icosahedron"])
+def test_far_points_fold_like_their_lattice_translates(kind, sym_type, orbit,
+                                                       enlarged):
+    f = ps.build_trig_eigenfunction(kind, sym_type, orbit)
+    if enlarged:
+        f = ps.enlarge(f)
+    near = ps.evaluate(f, (1.25, 0.3), check_domain=False)
+    # (+-999999, 0) is in the translation lattice {(i, j) : i = j mod 3}
+    for x in (1e6 + 0.25, 1.25 - 999_999):
+        far = ps.evaluate(f, (x, 0.3), check_domain=False)
+        assert far == pytest.approx(near, abs=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # enlargement
 

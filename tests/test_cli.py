@@ -8,7 +8,7 @@ import pytest
 
 import polyspec as ps
 from polyspec import PolyhedronKind
-from polyspec import cli
+from polyspec import analysis, cli
 from polyspec.cli import run
 
 ND = 4 * math.pi ** 2 / 3
@@ -201,6 +201,69 @@ def test_classify_command(tmp_path):
     assert lines[1].split(",")[3] == "nonsingular"
     assert lines[2].split(",")[3] == "nonsingular"
     assert lines[3].split(",")[3] == "singular"
+
+
+def test_classify_range_error_names_the_value(tmp_path, capsys):
+    src = tmp_path / "e.csv"
+    src.write_text("index,lambda,normalized\n0,0,0\n1,2631894.5,200000\n")
+    out = tmp_path / "c.csv"
+    assert run(["classify", "--in", str(src), "--polyhedron", "octahedron",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "200000 with tol 0.02" in err and "at most 100000" in err
+    assert "200001" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def brute_force_classify(kind):
+    """classify against every line up to v + tol + 1 at once: np.argmin
+    keeps the first, i.e. lower, of equally near lines, as min did when
+    classify rebuilt the spectrum for each value."""
+    lines = ps.exact_spectrum(kind, analysis.LATTICE_LIMIT)
+    values = np.array([float(sl.value) for sl in lines])
+
+    def classify(v, kind, tol):
+        dist = np.where(values <= v + tol + 1.0, np.abs(values - v), np.inf)
+        i = int(np.argmin(dist))
+        if dist[i] <= tol:
+            return ps.Classification("nonsingular", lines[i].value,
+                                     lines[i].witness, lines[i].tag)
+        return ps.Classification("singular", None, None, None)
+    return classify
+
+
+@pytest.mark.parametrize("order", ["shuffled", "ascending"])
+def test_classify_column_builds_log_many_spectra(tmp_path, monkeypatch, order):
+    kind = PolyhedronKind.OCTAHEDRON
+    values = np.random.default_rng(10).uniform(0, 99_990, 1000)
+    if order == "ascending":
+        values.sort()
+    src = tmp_path / "e.csv"
+    src.write_text("index,lambda,normalized\n" + "".join(
+        f"{i},{v * analysis.normalizer(kind)!r},{v!r}\n"
+        for i, v in enumerate(values.tolist())))
+    args = ["classify", "--in", str(src), "--polyhedron", kind.value]
+    oracle = brute_force_classify(kind)
+
+    builds = []
+    original = analysis.exact_spectrum
+
+    def counted(k, nmax):
+        builds.append(nmax)
+        return original(k, nmax)
+
+    monkeypatch.setattr(analysis, "_SPECTRA", {})
+    monkeypatch.setattr(analysis, "exact_spectrum", counted)
+    assert run(args + ["--out", str(tmp_path / "c.csv")]) == 0
+    # ceil(log2(LATTICE_LIMIT)) + 1 bounds: 1, 2, 4, ..., 65536, 1e5
+    assert 1 <= len(builds) <= 18
+    if order == "ascending":
+        assert builds[-1] == analysis.LATTICE_LIMIT
+
+    monkeypatch.setattr(analysis, "classify", oracle)
+    assert run(args + ["--out", str(tmp_path / "o.csv")]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == \
+        (tmp_path / "o.csv").read_bytes()
 
 
 def test_slice_constant_mode(tmp_path):
