@@ -151,12 +151,15 @@ def hexagonal_multiplicity(n: int) -> int:
     """Number of eigenfunctions of the hexagonal form with j^2+k^2+jk = n.
 
     Defined as half the number of nonzero integer solutions; n = 0 gives 1
-    (the constant).  Raises ValueError unless 0 <= n <= LATTICE_LIMIT.
+    (the constant).  Raises ValueError unless n is an integer with
+    0 <= n <= LATTICE_LIMIT.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_bound(n)
-    q, k, j = _sweep(n)
+    if n % 1:
+        raise ValueError(f"n must be an integer, got {n}")
+    q, k, j = _sweep(int(n))
     return int(_orbit_size(k, j)[q == n].sum())
 
 
@@ -378,6 +381,9 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
     case, j = 0 and j = k the two nongeneric ones.  Raises
     InadmissibleOrbitError naming the violated rule otherwise.
     """
+    if any(x % 1 != 0 for x in orbit[:2]):      # nan for nan and inf too
+        raise InadmissibleOrbitError(
+            f"orbit entries must be integers, got ({orbit[0]}, {orbit[1]})")
     k, j = int(orbit[0]), int(orbit[1])
     if not k >= j >= 0:
         raise InadmissibleOrbitError(
@@ -559,10 +565,12 @@ def mirror_lines(f: TrigEigenfunction):
 def admissible_orbits(kind: PolyhedronKind, nmax: int):
     """All admissible (sym_type, orbit) pairs with normalized value <= nmax.
 
-    Raises ValueError unless nmax <= LATTICE_LIMIT.
+    Raises ValueError unless nmax is an integer at most LATTICE_LIMIT.
     """
     _check_bound(nmax)
-    _, ks, js = _sweep(nmax, square=kind is PolyhedronKind.CUBE)
+    if nmax % 1:
+        raise ValueError(f"nmax must be an integer, got {nmax}")
+    _, ks, js = _sweep(int(nmax), square=kind is PolyhedronKind.CUBE)
     out = []
     for orbit in zip(ks.tolist(), js.tolist()):
         for t in _admitted_types(kind):

@@ -17,8 +17,6 @@ import scipy.sparse as sparse
 from .errors import DegenerateElementError
 from .mesh import SurfaceMesh
 
-_DROP_TOL = 1e-14
-
 
 def element_matrices(vertices) -> tuple[np.ndarray, np.ndarray]:
     """Exact P1 element matrices of one triangle.
@@ -54,8 +52,9 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
 
     Both matrices have dimension mesh.dof_count.  K is symmetric positive
     semidefinite with K @ 1 = 0; M is symmetric positive definite with
-    1^T M 1 equal to the surface area.  Stored entries of K below 1e-14 in
-    magnitude (the cube's cell diagonals) are dropped after assembly.
+    1^T M 1 equal to the surface area.  Entries of K that are exactly zero
+    (the cube's cell diagonals, each opposite two right angles) are not
+    stored.
 
     K carries the mesh as the private attribute ``_mesh``, through which
     eigen.solve_lowest finds the mesh's symmetry sectors.  Anything that
@@ -94,7 +93,6 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
                            A.indptr.copy()), shape=(n, n))
     M = sparse.csr_matrix((A.data.imag.copy(), A.indices, A.indptr),
                           shape=(n, n))
-    K.data[np.abs(K.data) < _DROP_TOL] = 0.0
     K.eliminate_zeros()
     K._mesh = mesh
     return K, M

@@ -63,52 +63,44 @@ def _spanned(gens, identity):
 def label_group(kind: PolyhedronKind) -> tuple:
     """Every vertex-label permutation that maps the net onto itself.
 
-    Searches the automorphisms of the label graph (labels joined by a face
-    edge) by backtracking and keeps those that map faces to faces; on the
-    cube, also each face's split diagonal (corners 0-2) to a split diagonal.
-    Orders: 24 (tetrahedron), 48 (octahedron), 120 (icosahedron), and 4 for
-    the cube, whose cells are all split along one planar direction.  Sorted,
-    so the identity comes first.
+    Backtracks over the labels in breadth-first order of the label graph
+    (labels joined by a face edge): each label takes an unused image whose
+    adjacency to the images so far matches its own.  Of these graph
+    automorphisms it keeps those that map faces to faces; on the cube, also
+    each face's split diagonal (corners 0-2) to a split diagonal.  Orders:
+    24 (tetrahedron), 48 (octahedron), 120 (icosahedron), and 4 for the
+    cube, whose cells are all split along one planar direction.  Sorted, so
+    the identity comes first.
     """
     net = build_net(kind)
-    labels = [f.labels for f in net.faces]
-    count = 1 + max(max(f) for f in labels)
-    mask = [0] * count          # bit u of mask[v]: u and v share a face edge
+    near = {}                   # label -> the labels it shares a face edge with
     for f in net.faces:
         for e in range(f.n_sides):
             u, v = f.edge_labels(e)
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
-    # breadth-first order: each label after the first has an earlier
-    # neighbour, and its image must be a neighbour of that one's image
+            near.setdefault(u, set()).add(v)
+            near.setdefault(v, set()).add(u)
+    # breadth-first, so each label after the first has a placed neighbour,
+    # and its image is among the neighbours of any such neighbour's image
     order = [0]
     for v in order:
-        order += [u for u in range(count) if mask[v] >> u & 1
-                  and u not in order]
-    before = [[i for i in range(k) if mask[order[k]] >> order[i] & 1]
-              for k in range(count)]
-    near = [[u for u in range(count) if mask[v] >> u & 1]
-            for v in range(count)]
-    faces = {frozenset(f) for f in labels}
-    diagonals = ({frozenset((f[0], f[2])) for f in labels}
+        order += sorted(near[v] - set(order))
+    faces = {frozenset(f.labels) for f in net.faces}
+    diagonals = ({frozenset((f.labels[0], f.labels[2])) for f in net.faces}
                  if kind is PolyhedronKind.CUBE else set())
     found = []
 
-    def extend(image, used):
-        # image[k] is the image of order[k]; used has a bit per image taken
-        k = len(image)
-        if k == count:
-            sigma = [0] * count
-            for v, w in zip(order, image):
-                sigma[v] = w
-            found.append(tuple(sigma))
+    def extend(image):
+        if len(image) == len(order):
+            found.append(tuple(image[v] for v in range(len(order))))
             return
-        want = sum(1 << image[i] for i in before[k])
-        for w in near[image[before[k][0]]] if k else range(count):
-            if not used >> w & 1 and mask[w] & used == want:
-                extend(image + [w], used | 1 << w)
+        v = order[len(image)]
+        used = set(image.values())
+        want = {image[u] for u in near[v] & image.keys()}
+        for w in near[min(want)] - used if want else near:
+            if near[w] & used == want:
+                extend({**image, v: w})
 
-    extend([], 0)
+    extend({})
 
     def keeps(sigma, sets):
         return all(frozenset(sigma[x] for x in s) in sets for s in sets)
@@ -121,32 +113,20 @@ def label_group(kind: PolyhedronKind) -> tuple:
 def sector_generators(kind: PolyhedronKind) -> tuple:
     """Generators of a largest elementary abelian 2-subgroup of label_group.
 
-    Rank 2 for the tetrahedron and the cube, 3 for the octahedron and the
-    icosahedron, so 4 or 8 sectors.  The first such set in the group's
-    enumeration order is taken, so the choice is deterministic.
+    One scan in group order takes each involution that commutes with those
+    already taken and lies outside their span.  On the four label groups
+    this reaches the largest rank: 2 for the tetrahedron and the cube, 3 for
+    the octahedron and the icosahedron, so 4 or 8 sectors.
     """
     group = label_group(kind)
     identity = group[0]
-    assert identity == tuple(range(len(identity)))
-    involutions = [g for g in group[1:] if _compose(g, g) == identity]
-    # the subgroup's order 2^rank divides the group's order
-    most = (len(group) & -len(group)).bit_length() - 1
-    best = ()
-
-    def grow(gens, span, start):
-        nonlocal best
-        if len(gens) > len(best):
-            best = gens
-        for i in range(start, len(involutions)):
-            if len(best) == most:
-                return
-            g = involutions[i]
-            if g not in span and all(_compose(g, h) == _compose(h, g)
-                                     for h in gens):
-                grow(gens + (g,), span | {_compose(g, h) for h in span}, i + 1)
-
-    grow((), {identity}, 0)
-    return best
+    gens = ()
+    for g in group:
+        if (_compose(g, g) == identity
+                and all(_compose(g, h) == _compose(h, g) for h in gens)
+                and g not in _spanned(gens, identity)):
+            gens += (g,)
+    return gens
 
 
 class SectorOrbits(NamedTuple):

@@ -80,6 +80,18 @@ def test_lattice_entry_points_reject_bounds_above_limit(bound):
             call()
 
 
+@pytest.mark.parametrize(
+    "bound", [2.5, 10.5, pytest.param(Fraction(7, 2), id="7/2")])
+def test_lattice_entry_points_reject_non_integers(bound):
+    # ValueError, not a TypeError from math.isqrt
+    calls = [lambda: ps.hexagonal_multiplicity(bound)]
+    calls += [lambda kind=kind: ps.admissible_orbits(kind, bound)
+              for kind in PolyhedronKind]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+
 def test_exact_spectrum_tetrahedron_table():
     lines = ps.exact_spectrum(PolyhedronKind.TETRAHEDRON, 31)
     got = {int(line.value): line.multiplicity for line in lines}
@@ -231,6 +243,10 @@ def test_generic_values_at_origin():
     (PolyhedronKind.CUBE, ST.MM, (2, 0)),
     (PolyhedronKind.CUBE, ST.ONE_PLUS, (2, 0)),
     (PolyhedronKind.TETRAHEDRON, ST.ONE_PLUS, (2, 4)),
+    # non-integral entries, which int() would truncate or fail on
+    (PolyhedronKind.OCTAHEDRON, ST.PP, (2.9, 0.5)),
+    (PolyhedronKind.ICOSAHEDRON, ST.ONE_PLUS, (math.nan, 0)),
+    (PolyhedronKind.CUBE, ST.PP, (2, math.inf)),
 ])
 def test_inadmissible_orbits_raise(kind, sym, orbit):
     with pytest.raises(ps.InadmissibleOrbitError):

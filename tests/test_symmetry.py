@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -49,6 +52,62 @@ def test_group_orders_and_sector_counts(kind):
         assert g in group and g != identity
         assert compose(g, g) == identity
         assert all(compose(g, h) == compose(h, g) for h in gens)
+
+
+# the sector group of each kind; its generators fix the numbering of the
+# sectors and so the seed each sector's Lanczos start vector is drawn from
+SECTOR_GENERATORS = {
+    PolyhedronKind.TETRAHEDRON: ((0, 1, 3, 2), (1, 0, 2, 3)),
+    PolyhedronKind.OCTAHEDRON: ((0, 1, 4, 3, 2, 5), (0, 3, 2, 1, 4, 5),
+                                (5, 1, 2, 3, 4, 0)),
+    PolyhedronKind.ICOSAHEDRON: ((0, 1, 5, 4, 3, 2, 10, 9, 8, 7, 6, 11),
+                                 (1, 0, 2, 6, 10, 5, 3, 7, 11, 9, 4, 8),
+                                 (8, 11, 7, 3, 4, 9, 6, 2, 0, 5, 10, 1)),
+    PolyhedronKind.CUBE: ((1, 0, 5, 4, 3, 2, 7, 6), (6, 7, 4, 5, 2, 3, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS
+                                  if k is not PolyhedronKind.ICOSAHEDRON])
+def test_label_group_matches_brute_force(kind):
+    # every label permutation, in lexicographic order, that maps faces onto
+    # faces and, on the cube, split diagonals onto split diagonals
+    labels = [f.labels for f in ps.build_net(kind).faces]
+    faces = {frozenset(f) for f in labels}
+    diagonals = ({frozenset((f[0], f[2])) for f in labels}
+                 if kind is PolyhedronKind.CUBE else set())
+
+    def keeps(sigma, sets):
+        return all(frozenset(sigma[x] for x in s) in sets for s in sets)
+
+    count = 1 + max(max(f) for f in labels)
+    want = tuple(s for s in itertools.permutations(range(count))
+                 if keeps(s, faces) and keeps(s, diagonals))
+    assert sym.label_group(kind) == want
+
+
+def test_icosahedron_label_group_is_pinned():
+    group = sym.label_group(PolyhedronKind.ICOSAHEDRON)
+    assert hashlib.sha256(repr(group).encode()).hexdigest() == \
+        "4afc409bd235d009b4b48174d8a829b5bd2c0076c6d17504867eee19120088d1"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sector_generators_are_the_first_fitting_involutions(kind):
+    gens = sym.sector_generators(kind)
+    assert gens == SECTOR_GENERATORS[kind]
+    group = sym.label_group(kind)
+    identity = group[0]
+    span = {identity}
+    for i in range(len(gens) + 1):
+        # the involutions that commute with gens[:i] and lie outside their
+        # span; the i-th generator is the first, and none follows the last
+        fits = [g for g in group if compose(g, g) == identity
+                and g not in span
+                and all(compose(g, h) == compose(h, g) for h in gens[:i])]
+        assert fits[:1] == list(gens[i:i + 1])
+        if i < len(gens):
+            span |= {compose(gens[i], h) for h in span}
 
 
 @pytest.mark.parametrize("kind", KINDS)
