@@ -15,10 +15,21 @@ solved whole.  dense_solve is the full-spectrum direct oracle for small
 problems.  Both return M-normalized eigenvectors with a deterministic sign
 convention; solve_lowest checks the residual contract in the full pencil,
 copied pairs included.
+
+On a host with more than one usable CPU and fork, the representative
+sectors of a large pencil are solved in worker processes, at most one per
+CPU and sector.  Each worker inherits the sectors and the parent's BLAS
+thread setting, and runs the same solve on the same data; the merge, lift
+and checks stay in the parent, so the output is byte-identical for any
+number of usable CPUs.  The workers' memory is their own: the parent's
+peak RSS does not include it (see RUSAGE_CHILDREN).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +46,12 @@ _CLUSTER_GAP = 1e-6
 # pairs a sector computes beyond its share of m, so that the merge is usually
 # certified without solving a sector twice
 _SECTOR_MARGIN = 4
+# fewest DOFs, summed over the sectors to solve, that go to worker processes;
+# on 2 CPUs with 1 BLAS thread the pool took 1.18x the in-process time on the
+# octahedron at r=48, m=200 (4,610 DOFs), 0.67x on the cube at r=32, m=200
+# (6,146) and 0.91x on the octahedron at r=64, m=50 (8,194), and below this
+# bound it raised the benchmark's count_window peak RSS from 130 to 134 MB
+_POOL_DOFS = 8000
 
 
 @dataclass
@@ -133,6 +150,50 @@ def _lowest(K, M, m, v0, maxiter, spent):
     return vals, vecs, applications
 
 
+def _sector_lowest(sectors, i, m, seed, maxiter, spent):
+    """_lowest on sector i, from the start vector seeded by its character."""
+    s = sectors[i]
+    v0 = np.random.default_rng([seed, s.character]).standard_normal(
+        s.basis.shape[1])
+    return _lowest(s.K, s.M, m, v0, maxiter, spent)
+
+
+_inherited = None       # in a worker process: the sectors of its pool
+
+
+def _inherit(sectors):
+    global _inherited
+    _inherited = sectors
+
+
+def _inherited_lowest(i, m, seed, maxiter):
+    return _sector_lowest(_inherited, i, m, seed, maxiter, 0)
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool(sectors, sizes):
+    """A fork pool whose workers inherit sectors, or None to solve in-process.
+
+    sizes are those of the sectors to solve.  A pool needs two usable CPUs,
+    two sectors and _POOL_DOFS DOFs among them; a daemonic process may not
+    start children, and without fork the sectors would have to be pickled.
+    """
+    workers = min(_usable_cpus(), len(sizes))
+    if workers < 2 or sum(sizes) < _POOL_DOFS:
+        return None
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return concurrent.futures.ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), initializer=_inherit,
+        initargs=(sectors,))
+
+
 def _lowest_by_sector(sectors, n, m, seed, maxiter):
     """The m lowest pairs of the sector pencils, merged and lifted.
 
@@ -144,28 +205,46 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     many pairs.  Of the merged pairs, only the m lowest are lifted: by
     v = B y in the representative, and by moving v through the DOF
     permutation in each conjugate sector.
+
+    With a pool (see _pool), worker processes run the solves, largest sector
+    first, and the results are taken in sector order, so values, vectors and
+    a failure's operator applications are those of the in-process loop.
     """
     sizes = [s.basis.shape[1] for s in sectors]
     want = [min(size, -(-m * size // n) + _SECTOR_MARGIN) for size in sizes]
     found = {}
     applications = 0
     todo = [i for i, size in enumerate(sizes) if size]
-    while todo:
-        for i in todo:
-            s = sectors[i]
-            v0 = np.random.default_rng([seed, s.character]).standard_normal(
-                sizes[i])
-            vals, vecs, used = _lowest(s.K, s.M, want[i], v0, maxiter,
-                                       applications)
-            applications += used
-            found[i] = (vals, vecs)
-        merged = np.concatenate([np.tile(vals, 1 + len(sectors[i].copies))
-                                 for i, (vals, _) in found.items()])
-        top = np.sort(merged)[m - 1]
-        todo = [i for i, (vals, _) in found.items()
-                if want[i] < sizes[i] and vals.max() <= top]
-        for i in todo:
-            want[i] = min(sizes[i], 2 * want[i])
+    pool = _pool(sectors, [sizes[i] for i in todo])
+    try:
+        while todo:
+            if pool is not None:
+                futures = {i: pool.submit(_inherited_lowest, i, want[i], seed,
+                                          maxiter)
+                           for i in sorted(todo, key=lambda i: -sizes[i])}
+            for i in todo:
+                if pool is None:
+                    vals, vecs, used = _sector_lowest(
+                        sectors, i, want[i], seed, maxiter, applications)
+                else:
+                    try:
+                        vals, vecs, used = futures[i].result()
+                    except NoConvergenceError as exc:
+                        raise NoConvergenceError(
+                            str(exc), iterations=applications + exc.iterations,
+                            worst_residual=None) from exc
+                applications += used
+                found[i] = (vals, vecs)
+            merged = np.concatenate([np.tile(vals, 1 + len(sectors[i].copies))
+                                     for i, (vals, _) in found.items()])
+            top = np.sort(merged)[m - 1]
+            todo = [i for i, (vals, _) in found.items()
+                    if want[i] < sizes[i] and vals.max() <= top]
+            for i in todo:
+                want[i] = min(sizes[i], 2 * want[i])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     # entry e of merged is column j of sector i's copy k (0: the sector)
     entries = [(i, k, j) for i, (vals, _) in found.items()
                for k in range(1 + len(sectors[i].copies))
@@ -212,7 +291,9 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
         If the residual contract cannot be met within the iteration budget;
         its ``iterations`` counts the shift-invert operator applications,
         summed over the sectors actually solved so far (one per orbit of
-        conjugate sectors; the others are never solved).
+        conjugate sectors; the others are never solved).  Runs count in
+        sector order, up to and including the one that failed, also when
+        worker processes ran them at once.
     """
     n = K.shape[0]
     if not 1 <= m <= n:

@@ -62,23 +62,32 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     edited in place keeps it, and then solve_lowest's invariance check
     decides.
     """
-    x, y = mesh.planar_vertices[mesh.elements].transpose(2, 0, 1)  # (E, 3)
-    # edge opposite vertex i, directed so the three edges sum to zero
-    ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
-    area = 0.5 * (ex[:, 2] * (-ey[:, 1]) - ey[:, 2] * (-ex[:, 1]))
+    elements = mesh.elements
+    x, y = mesh.planar_vertices.T
+    # one (E,) array per element column: corner i's coordinates, and the edge
+    # opposite corner i, directed so the three edges sum to zero
+    cx = [x[elements[:, i]] for i in range(3)]
+    cy = [y[elements[:, i]] for i in range(3)]
+    ex = [cx[2] - cx[1], cx[0] - cx[2], cx[1] - cx[0]]
+    ey = [cy[2] - cy[1], cy[0] - cy[2], cy[1] - cy[0]]
+    area = 0.5 * (ex[2] * (-ey[1]) - ey[2] * (-ex[1]))
     if np.any(area <= 1e-14):
         raise DegenerateElementError("mesh contains a (near-)degenerate element")
-    dofs = mesh.dof_of[mesh.elements]                    # (E, 3)
+    dofs = mesh.dof_of[elements]                         # (E, 3)
     n = mesh.dof_count
 
-    # local pairs (0, 1), (0, 2), (1, 2), each keyed by (min, max) of its DOFs
-    a, b = [0, 0, 1], [1, 2, 2]
-    lo = np.minimum(dofs[:, a], dofs[:, b]).ravel()
-    hi = np.maximum(dofs[:, a], dofs[:, b]).ravel()
-    scale = 4.0 * area[:, None]
-    k_diag = (ex * ex + ey * ey) / scale
-    k_pair = (ex[:, a] * ex[:, b] + ey[:, a] * ey[:, b]) / scale
+    # local pairs (0, 1), (0, 2), (1, 2), each keyed by (min, max) of its
+    # DOFs; the (E, 3) arrays are filled column by column but read
+    # element-major, the order in which the sparse sums below add entries
+    scale = 4.0 * area
+    lo, hi = np.empty_like(dofs), np.empty_like(dofs)
+    k_diag, k_pair = np.empty(dofs.shape), np.empty(dofs.shape)
+    for p, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        np.minimum(dofs[:, a], dofs[:, b], out=lo[:, p])
+        np.maximum(dofs[:, a], dofs[:, b], out=hi[:, p])
+        k_diag[:, p] = (ex[p] * ex[p] + ey[p] * ey[p]) / scale
+        k_pair[:, p] = (ex[a] * ex[b] + ey[a] * ey[b]) / scale
+    lo, hi = lo.ravel(), hi.ravel()
     m_pair = np.repeat(area / 12.0, 3)
     # K + iM goes through the sparse structure once; complex sums add real
     # and imaginary parts independently, so each part is summed exactly as

@@ -223,11 +223,37 @@ def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
     return perm
 
 
+def _conjugation(A, perm):
+    """P A P^T's pattern, with data indexing A.data, for CSR A and perm's P.
+
+    Entry (i, j) of A moves to (perm[i], perm[j]): one gather of the rows,
+    the column indices mapped through perm, and each row sorted.  Every
+    matrix with A's pattern shares the result.
+    """
+    index = sparse.csr_matrix((np.arange(A.nnz), A.indices, A.indptr),
+                              shape=A.shape)[np.argsort(perm)]
+    index.indices[:] = perm[index.indices]
+    index.has_sorted_indices = False
+    index.sort_indices()
+    return index
+
+
+def _invariant(A, index) -> bool:
+    """is_invariant of CSR A, given its _conjugation index."""
+    moved = A.data[index.data]
+    if (np.array_equal(index.indptr, A.indptr)
+            and np.array_equal(index.indices, A.indices)):
+        diff = np.abs(moved - A.data).max(initial=0.0)
+    else:
+        diff = abs(sparse.csr_matrix((moved, index.indices, index.indptr),
+                                     shape=A.shape) - A).max()
+    return bool(diff <= INVARIANCE_TOL * np.abs(A.data).max(initial=0.0))
+
+
 def is_invariant(A, perm) -> bool:
     """||P A P^T - A||_max <= INVARIANCE_TOL * ||A||_max for perm's P."""
-    inv = np.argsort(perm)
-    diff = abs(A[inv][:, inv] - A).max()
-    return bool(diff <= INVARIANCE_TOL * abs(A).max())
+    A = sparse.csr_matrix(A)
+    return _invariant(A, _conjugation(A, perm))
 
 
 def sector_bases(perms, n: int, characters=None) -> list:
@@ -324,9 +350,13 @@ def split(K, M):
                             else perm(g)[perm(parent)])
         return perms[sigma]
 
-    if not all(is_invariant(A, perm(g))
-               for g in orbits.generators for A in (K, M)):
-        return None
+    shared = (np.array_equal(K.indptr, M.indptr)
+              and np.array_equal(K.indices, M.indices))
+    for g in orbits.generators:
+        index = _conjugation(K, perm(g))
+        if not (_invariant(K, index) and _invariant(
+                M, index if shared else _conjugation(M, perm(g)))):
+            return None
     bases = sector_bases([perm(g) for g in sector_generators(kind)], n,
                          [orbit[0] for orbit in orbits.orbits])
     sectors = []

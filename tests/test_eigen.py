@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import types
 
 import numpy as np
 import pytest
@@ -9,6 +11,30 @@ import polyspec as ps
 from polyspec import PolyhedronKind
 
 from conftest import KINDS
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker pools need the fork start method")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Forces a worker pool on every sector solve; lists what _pool made.
+
+    A test that then sets _usable_cpus to 1 gets the in-process loop, and
+    None in the list.
+    """
+    made = []
+    make = ps.eigen._pool
+
+    def recorded(sectors, sizes):
+        made.append(make(sectors, sizes))
+        return made[-1]
+
+    monkeypatch.setattr(ps.eigen, "_POOL_DOFS", 0)
+    monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ps.eigen, "_pool", recorded)
+    return made
 
 
 def inverse_iteration_oracle(K, M, shifts, iters=200):
@@ -239,3 +265,100 @@ def test_matches_scipy_shift_invert_above_dense_guard(kind, bench):
         [(_, Pa)] = ps.eigen.cluster_projector(ref[lo:hi], M)
         [(_, Pb)] = ps.eigen.cluster_projector(low[lo:hi], M)
         assert np.linalg.norm(Pa - Pb) < 1e-8
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", KINDS)
+def test_worker_pool_is_bit_for_bit_the_in_process_loop(kind, bench, pools,
+                                                        monkeypatch):
+    K, M = bench.matrices(kind, 32)
+    pooled = ps.solve_lowest(K, M, 200, seed=0)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 1)
+    alone = ps.solve_lowest(K, M, 200, seed=0)
+    assert pools[0] is not None and pools[1:] == [None]
+    assert len(pooled) == len(alone) == 200
+    for a, b in zip(pooled, alone):
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert a.vector.tobytes() == b.vector.tobytes()
+
+
+@needs_fork
+def test_worker_failure_reports_like_the_in_process_loop(bench, pools,
+                                                         monkeypatch):
+    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)
+    errors = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ps.NoConvergenceError) as info:
+            ps.solve_lowest(K, M, 8, seed=0, maxiter=1)
+        assert multiprocessing.active_children() == []
+        errors.append(info.value)
+    assert pools[0] is not None and pools[1] is None
+    pooled, alone = errors
+    assert str(pooled) == str(alone)
+    assert pooled.iterations == alone.iterations > 1
+    assert pooled.worst_residual is alone.worst_residual is None
+
+
+@needs_fork
+def test_a_failing_sector_counts_the_runs_before_it_in_sector_order(
+        bench, pools, monkeypatch):
+    # the workers inherit the patched function when they fork; the last
+    # sector fails after its run, while the earlier ones may still be running
+    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)
+    sectors = ps.symmetry.split(K, M)
+    last = max(i for i, s in enumerate(sectors) if s.basis.shape[1])
+    solve = ps.eigen._sector_lowest
+    runs = {}
+
+    def failing(sectors, i, *args):
+        vals, vecs, used = solve(sectors, i, *args)
+        runs[i] = used
+        if i == last:
+            raise ps.NoConvergenceError("stop", iterations=args[-1] + used)
+        return vals, vecs, used
+
+    monkeypatch.setattr(ps.eigen, "_sector_lowest", failing)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ps.NoConvergenceError, match="stop") as info:
+            ps.solve_lowest(K, M, 8, seed=0)
+        errors.append(info.value.iterations)
+    # runs holds the in-process loop's calls only: the workers' are their own
+    assert pools[0] is None and pools[1] is not None
+    assert len(runs) > 1 and runs[last] < sum(runs.values())
+    assert errors == [sum(runs.values())] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_only_large_solves_on_several_cpus_start_a_pool(bench, monkeypatch):
+    # every pencil up to r=16 stays in-process, so the tests that patch
+    # _lowest there see every call
+    for kind in KINDS:
+        K, M = bench.matrices(kind, 16)
+        sizes = [s.basis.shape[1] for s in ps.symmetry.split(K, M)]
+        assert sum(sizes) < ps.eigen._POOL_DOFS
+    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 4)
+    sectors = ps.symmetry.split(K, M)
+    sizes = [s.basis.shape[1] for s in sectors]
+    monkeypatch.setattr(ps.eigen, "_POOL_DOFS", sum(sizes))
+    monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 2)
+    assert ps.eigen._pool(sectors, sizes[1:]) is None
+    if "fork" in multiprocessing.get_all_start_methods():
+        pool = ps.eigen._pool(sectors, sizes)
+        assert pool is not None
+        pool.shutdown()
+    monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 1)
+    assert ps.eigen._pool(sectors, sizes) is None
+    monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "current_process",
+                        lambda: types.SimpleNamespace(daemon=True))
+    assert ps.eigen._pool(sectors, sizes) is None
+    monkeypatch.undo()
+    monkeypatch.setattr(ps.eigen, "_POOL_DOFS", 0)
+    monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert ps.eigen._pool(sectors, sizes) is None

@@ -123,6 +123,51 @@ def test_pencil_is_invariant_under_every_group_element(kind, r, bench):
             assert sym.is_invariant(A, perm)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 7])
+def test_conjugation_index_is_the_permuted_copy(kind, r, bench):
+    # the gather index reproduces P A P^T entry for entry, and one index
+    # serves K and M wherever their patterns agree (every kind but the cube,
+    # whose K drops the zero cell diagonals)
+    mesh = bench.mesh(kind, r)
+    K, M = bench.matrices(kind, r)
+    shared = (K.indices.shape == M.indices.shape
+              and np.array_equal(K.indices, M.indices))
+    assert shared == (kind is not PolyhedronKind.CUBE)
+    for sigma in sym.sector_orbits(kind).generators:
+        perm = sym.dof_permutation(mesh, sigma)
+        index = sym._conjugation(K, perm)
+        for A in (K, M):
+            if A is K or shared:
+                moved = conjugated(A, perm)
+                moved.sort_indices()
+                assert np.array_equal(index.indptr, moved.indptr)
+                assert np.array_equal(index.indices, moved.indices)
+                assert np.array_equal(A.data[index.data], moved.data)
+
+
+def test_invariance_check_survives_a_different_pattern(bench):
+    # an explicit zero at one position only: the pattern is no longer
+    # invariant, but the matrix still is; a changed value then is not
+    kind = PolyhedronKind.OCTAHEDRON
+    mesh = bench.mesh(kind, 4)
+    K, _ = bench.matrices(kind, 4)
+    perm = sym.dof_permutation(mesh, sym.sector_orbits(kind).generators[0])
+    coo = K.tocoo()
+    i = int(np.flatnonzero(perm != np.arange(len(perm)))[0])
+    j = next(j for j in range(K.shape[0]) if K[i, j] == 0 and j != i)
+    rows, cols = np.r_[coo.row, i], np.r_[coo.col, j]
+    A = sparse.csr_matrix((np.r_[coo.data, 0.0], (rows, cols)), shape=K.shape)
+    assert A.nnz == K.nnz + 1
+    index = sym._conjugation(A, perm)
+    assert not np.array_equal(index.indices, A.indices)
+    assert sym.is_invariant(A, perm)
+    A[i, j] = 1.0                       # stored already: no new entry
+    assert A.nnz == K.nnz + 1
+    assert abs(conjugated(A, perm) - A).max() > 1e-12 * abs(A).max()
+    assert not sym.is_invariant(A, perm)
+
+
 def planar_oracle(mesh, sigma):
     """sigma's DOF permutation from float planar coordinates alone.
 
