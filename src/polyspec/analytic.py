@@ -5,10 +5,11 @@ The triangle-faced surfaces lift to the hexagonal torus: eigenvalues are
 types are finite cosine/sine sums over dual-lattice orbits.  The cube's
 eigenfunctions are cosine sums over the integer lattice with eigenvalue
 pi^2 (j^2 + k^2), k and j of equal parity.  Values anywhere on a net are
-produced by folding the point into the base face through the reflection
-tiling while accumulating the symmetry type's signs; the octahedron
-enlargement composes one extra fold into a half-face with a sqrt(3)
-contraction, scaling the eigenvalue by 1/3.
+produced by folding the point into the base face in closed form, by the
+alcove reduction of the reflection tiling, and applying the symmetry type's
+sign for the parity of the fold; the octahedron enlargement composes one
+extra fold into a half-face with a sqrt(3) contraction, scaling the
+eigenvalue by 1/3.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ SQUARE_NORMALIZER = math.pi ** 2
 # largest normalized bound the lattice side accepts; exact_spectrum stays
 # well under a second up to here for every kind
 LATTICE_LIMIT = 1e5
-
-_FOLD_EPS = 1e-12
-_MAX_FOLDS = 4096
-# every triangular net lies in [0, 6] x [0, 4] of (s, t); the fold shifts
-# only points farther out than this, so no point of a net is shifted
-_FOLD_REACH = 8.0
 
 
 def normalizer(kind: PolyhedronKind) -> float:
@@ -445,38 +440,28 @@ def enlarge(f: TrigEigenfunction) -> TrigEigenfunction:
 def _fold_triangular(x, y):
     """Fold cartesian points into the base cell (0,0),(1,0),(1/2,sqrt3/2).
 
-    Returns lattice coordinates (sigma, tau) inside the cell and the number of
-    reflections applied per point (mod 2 determines the orientation sign).
+    Returns lattice coordinates (sigma, tau) in the cell and the parity of
+    the reflections that map each point there, by the alcove reduction of
+    the affine Weyl group A2 (Humphreys 1990, ch. 4): p = ((2s+t)/3, (t-s)/3,
+    -(s+2t)/3) has differences (s, t), and the reflections permute its
+    entries and shift them by integers of zero sum.  The fractional parts of
+    p, sorted as lo, mid, hi and summing to k, give the point as gaps k and
+    k+1 of (hi-mid, mid-lo, 1-hi+lo).  Shifts and rotations are even.
     """
     s, t = xy_to_lattice(x, y)
-    far = np.maximum(np.abs(s), np.abs(t)) > _FOLD_REACH
-    if far.any():
-        # subtract a nearby point of the fold's translation lattice
-        # {(i, j) : i = j mod 3}; each is a product of two reflections, so
-        # the parity is unchanged
-        j = np.round(t)
-        i = j + 3.0 * np.round((s - j) / 3.0)
-        s, t = np.where(far, s - i, s), np.where(far, t - j, t)
-    parity = np.zeros(s.shape, dtype=np.int64)
-    for _ in range(_MAX_FOLDS):
-        m = t < -_FOLD_EPS
-        if m.any():
-            s = np.where(m, s + t, s)
-            t = np.where(m, -t, t)
-            parity += m
-        m = s < -_FOLD_EPS
-        if m.any():
-            t = np.where(m, s + t, t)
-            s = np.where(m, -s, s)
-            parity += m
-        m = s + t > 1.0 + _FOLD_EPS
-        if m.any():
-            s, t = np.where(m, 1.0 - t, s), np.where(m, 1.0 - s, t)
-            parity += m
-        if not ((t < -_FOLD_EPS) | (s < -_FOLD_EPS)
-                | (s + t > 1.0 + _FOLD_EPS)).any():
-            return s, t, parity
-    raise RuntimeError("triangular fold did not terminate")
+    p = np.column_stack([(2.0 * s + t) / 3.0, (t - s) / 3.0,
+                         -(s + 2.0 * t) / 3.0])
+    p %= 1.0
+    # comparisons, not a cast: a nan point keeps k = 0 and folds to nan
+    total = p.sum(axis=1)
+    k = (total > 0.5).astype(np.int64) + (total > 1.5)
+    parity = ((p[:, 0] < p[:, 1]).astype(np.int64) + (p[:, 0] < p[:, 2])
+              + (p[:, 1] < p[:, 2]))
+    p.sort(axis=1)
+    lo, mid, hi = p.T
+    gaps = np.column_stack([hi - mid, mid - lo, 1.0 - hi + lo])
+    rows = np.arange(len(k))
+    return gaps[rows, k], gaps[rows, (k + 1) % 3], parity
 
 
 def _fold_axis(x):

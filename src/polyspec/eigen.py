@@ -111,12 +111,12 @@ def dense_solve(K, M, tol: float = 1e-10):
     return _postprocess(vals, vecs, M, tol)
 
 
-def _lowest(K, M, m, v0, maxiter, spent):
+def _lowest(K, M, m, v0, maxiter):
     """(values, vectors, operator applications) of the m lowest pairs.
 
     Shift-invert Lanczos from v0 on one pencil; tiny pencils, or m >= n - 1
     (ARPACK needs k < n - 1), go through the dense path.  A failure reports
-    spent plus this call's applications.
+    this call's applications.
     """
     n = K.shape[0]
     if m >= n - 1 or n <= 3:
@@ -145,17 +145,17 @@ def _lowest(K, M, m, v0, maxiter, spent):
     except spla.ArpackNoConvergence as exc:
         raise NoConvergenceError(
             f"ARPACK did not converge within {maxiter} iterations",
-            iterations=spent + applications,
+            iterations=applications,
             worst_residual=None) from exc
     return vals, vecs, applications
 
 
-def _sector_lowest(sectors, i, m, seed, maxiter, spent):
+def _sector_lowest(sectors, i, m, seed, maxiter):
     """_lowest on sector i, from the start vector seeded by its character."""
     s = sectors[i]
     v0 = np.random.default_rng([seed, s.character]).standard_normal(
         s.basis.shape[1])
-    return _lowest(s.K, s.M, m, v0, maxiter, spent)
+    return _lowest(s.K, s.M, m, v0, maxiter)
 
 
 _inherited = None       # in a worker process: the sectors of its pool
@@ -167,7 +167,7 @@ def _inherit(sectors):
 
 
 def _inherited_lowest(i, m, seed, maxiter):
-    return _sector_lowest(_inherited, i, m, seed, maxiter, 0)
+    return _sector_lowest(_inherited, i, m, seed, maxiter)
 
 
 def _usable_cpus():
@@ -206,9 +206,9 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     v = B y in the representative, and by moving v through the DOF
     permutation in each conjugate sector.
 
-    With a pool (see _pool), worker processes run the solves, largest sector
-    first, and the results are taken in sector order, so values, vectors and
-    a failure's operator applications are those of the in-process loop.
+    With a pool (see _pool), workers run the solves, largest sector first.
+    Either way the results, and a failure's applications plus those of the
+    runs before it, are taken in sector order.
     """
     sizes = [s.basis.shape[1] for s in sectors]
     want = [min(size, -(-m * size // n) + _SECTOR_MARGIN) for size in sizes]
@@ -223,16 +223,16 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
                                           maxiter)
                            for i in sorted(todo, key=lambda i: -sizes[i])}
             for i in todo:
-                if pool is None:
-                    vals, vecs, used = _sector_lowest(
-                        sectors, i, want[i], seed, maxiter, applications)
-                else:
-                    try:
+                try:
+                    if pool is None:
+                        vals, vecs, used = _sector_lowest(sectors, i, want[i],
+                                                          seed, maxiter)
+                    else:
                         vals, vecs, used = futures[i].result()
-                    except NoConvergenceError as exc:
-                        raise NoConvergenceError(
-                            str(exc), iterations=applications + exc.iterations,
-                            worst_residual=None) from exc
+                except NoConvergenceError as exc:
+                    raise NoConvergenceError(
+                        str(exc), iterations=applications + exc.iterations,
+                        worst_residual=None) from exc
                 applications += used
                 found[i] = (vals, vecs)
             merged = np.concatenate([np.tile(vals, 1 + len(sectors[i].copies))
@@ -303,7 +303,7 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     sectors = symmetry.split(K, M)
     if sectors is None:
         v0 = np.random.default_rng(seed).standard_normal(n)
-        vals, vecs, applications = _lowest(K, M, m, v0, maxiter, 0)
+        vals, vecs, applications = _lowest(K, M, m, v0, maxiter)
     else:
         vals, vecs, applications = _lowest_by_sector(sectors, n, m, seed,
                                                      maxiter)

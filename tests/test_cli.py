@@ -11,6 +11,8 @@ from polyspec import PolyhedronKind
 from polyspec import analysis, cli
 from polyspec.cli import run
 
+import readme_cli
+
 ND = 4 * math.pi ** 2 / 3
 
 
@@ -384,3 +386,41 @@ def test_python_dash_m_entry_point():
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert "dofCount 26" in done.stdout.split("\n")
+
+
+def _header(path):
+    return path.read_text().split("\n", 1)[0]
+
+
+def test_readme_cli_block_runs_in_order(tmp_path):
+    # each README comment names the file's header, or what classify appends
+    # to its input's header, or a line that the command prints
+    results = readme_cli.run_all(tmp_path)
+    assert [argv[0] for argv, *_ in results] == [
+        "solve", "solve", "solve", "mesh", "solve", "analytic", "analytic",
+        "extrapolate", "count", "count", "classify", "slice"]
+    for argv, comment, code, stdout in results:
+        assert code == 0, argv
+        word, _, rest = comment.partition(" ")
+        if word == "prints":
+            assert rest in stdout.splitlines()
+        if "--out" not in argv:
+            continue
+        header = _header(tmp_path / argv[argv.index("--out") + 1])
+        if word == "appends":
+            source = _header(tmp_path / argv[argv.index("--in") + 1])
+            assert header == f"{source},{rest}"
+        else:
+            assert header == word
+    assert "planarCount 33153" in results[3][3].splitlines()
+
+
+def test_readme_cli_script_logs_each_command(tmp_path, monkeypatch):
+    monkeypatch.setattr(readme_cli, "commands", lambda: [
+        (["mesh", "--polyhedron", "cube", "--resolution", "2"], ""),
+        (["mesh", "--polyhedron", "cube", "--resolution", "0"], "")])
+    assert readme_cli.main(tmp_path / "out") == 1
+    log = (tmp_path / "out" / "stdout.txt").read_text()
+    assert log.startswith("$ polyspec mesh --polyhedron cube --resolution 2\n"
+                          "planarCount ")
+    assert log.count("$ polyspec mesh") == 2

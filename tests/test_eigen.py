@@ -316,7 +316,7 @@ def test_a_failing_sector_counts_the_runs_before_it_in_sector_order(
         vals, vecs, used = solve(sectors, i, *args)
         runs[i] = used
         if i == last:
-            raise ps.NoConvergenceError("stop", iterations=args[-1] + used)
+            raise ps.NoConvergenceError("stop", iterations=used)
         return vals, vecs, used
 
     monkeypatch.setattr(ps.eigen, "_sector_lowest", failing)
