@@ -483,7 +483,9 @@ def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
 
     points may be a single (x, y) pair or an (n, 2) array.  With
     check_domain=True (default) points outside the net raise
-    OutOfDomainError; mesh-sampling callers may disable the check.
+    OutOfDomainError.  With check_domain=False every point folds by the
+    tiling's reflections, but past lattice coordinates |s|, |t| of about
+    2^52 a float has no fractional digits left to place it in its cell.
     """
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
@@ -494,8 +496,7 @@ def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
             if face_containing(net, float(x), float(y)) is None:
                 raise OutOfDomainError(f"point ({x}, {y}) is not on the net")
     ox, oy = net.formula_origin
-    x = pts[:, 0] - ox
-    y = pts[:, 1] - oy
+    x, y = pts[:, 0] - ox, pts[:, 1] - oy
 
     if f.kind is PolyhedronKind.CUBE:
         fx, kx = _fold_axis(x)

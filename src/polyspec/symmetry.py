@@ -17,7 +17,7 @@ sector chi onto sector h -> chi(n^-1 h n).  Sectors in one N-orbit of
 characters therefore have the same spectrum, and the eigenvectors of one are
 those of the orbit's representative, moved by n's DOF permutation.  split
 returns the representatives only, each with the permutations onto its
-conjugates.
+conjugates.  It checks K and M under two generators of the label group G.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ def _spanned(gens, identity):
     Breadth first from the identity (whose entry is None); every other
     element is _compose(generator, parent).
     """
-    tree = {identity: None}
-    queue = [identity]
+    tree, queue = {identity: None}, [identity]
     for x in queue:
         for g in gens:
             y = _compose(g, x)
@@ -118,9 +117,8 @@ def sector_generators(kind: PolyhedronKind) -> tuple:
     this reaches the largest rank: 2 for the tetrahedron and the cube, 3 for
     the octahedron and the icosahedron, so 4 or 8 sectors.
     """
-    group = label_group(kind)
+    group, gens = label_group(kind), ()
     identity = group[0]
-    gens = ()
     for g in group:
         if (_compose(g, g) == identity
                 and all(_compose(g, h) == _compose(h, g) for h in gens)
@@ -129,19 +127,26 @@ def sector_generators(kind: PolyhedronKind) -> tuple:
     return gens
 
 
+@lru_cache(maxsize=None)
+def group_generators(kind: PolyhedronKind) -> tuple:
+    """The first pair (a, b) of label_group, in group order, that spans it."""
+    group = label_group(kind)
+    return next((a, b) for a in group[1:] for b in group
+                if len(_spanned((a, b), group[0])) == len(group))
+
+
 class SectorOrbits(NamedTuple):
     """How the normalizer N of the sector group H permutes H's characters.
 
-    normalizer lists N in label_group's order, generators is a generating
-    set of N, orbits holds the character orbits in order of their smallest
-    character, which comes first and is the orbit's representative, and
-    conjugators[c] is an element of N that carries the sector of c's
-    representative onto sector c (the identity for a representative).
-    Characters are numbered as in sector_bases.
+    normalizer lists N in label_group's order, orbits holds the character
+    orbits in order of their smallest character, which comes first and is
+    the orbit's representative, and conjugators[c] is an element of N that
+    carries the sector of c's representative onto sector c (the identity for
+    a representative).  Characters are numbered as in sector_bases.  split
+    checks invariance under G's two group_generators, not generators of N.
     """
 
     normalizer: tuple
-    generators: tuple
     orbits: tuple
     conjugators: tuple
 
@@ -151,13 +156,12 @@ def sector_orbits(kind: PolyhedronKind) -> SectorOrbits:
     """The normalizer of sector_generators' group and its character orbits.
 
     Orbit sizes 1, 2, 1 (tetrahedron), 1, 3, 3, 1 (octahedron and
-    icosahedron) and 1, 1, 1, 1 (cube).  N's generators are picked greedily:
-    each is the first element, in group order, whose addition spans the most.
+    icosahedron) and 1, 1, 1, 1 (cube).  split checks and composes along
+    G's two group_generators, not generators of N.
     """
     group = label_group(kind)
     gens = sector_generators(kind)
-    identity = group[0]
-    elements = [identity]               # element b composes the gens in b
+    elements = [group[0]]               # element b composes the gens in b
     for g in gens:
         elements += [_compose(g, h) for h in elements]
     # masks[n][i] is the bitmask of n^-1 g_i n, which is h exactly when
@@ -176,26 +180,17 @@ def sector_orbits(kind: PolyhedronKind) -> SectorOrbits:
         return sum((bin(b & c).count("1") & 1) << i
                    for i, b in enumerate(masks[n]))
 
-    generators, span = (), {identity}
-    while len(span) < len(normalizer):
-        # the first element, in group order, that spans the most
-        generators += (max((n for n in normalizer if n not in span),
-                           key=lambda n: len(_spanned(generators + (n,),
-                                                      identity))),)
-        span = _spanned(generators, identity)
     orbits, conjugators = [], [None] * len(elements)
     for c in range(len(elements)):
         if conjugators[c] is None:
-            orbit = [c]
-            conjugators[c] = identity
-            for n in normalizer:
+            orbit = []
+            for n in normalizer:        # the identity first
                 d = act(n, c)
                 if conjugators[d] is None:
                     orbit.append(d)
                     conjugators[d] = n
             orbits.append(tuple(orbit))
-    return SectorOrbits(normalizer, generators, tuple(orbits),
-                        tuple(conjugators))
+    return SectorOrbits(normalizer, tuple(orbits), tuple(conjugators))
 
 
 def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
@@ -220,6 +215,22 @@ def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
     assert np.array_equal(perm[a], b), "label permutation splits a DOF"
     assert np.array_equal(np.sort(perm), np.arange(mesh.dof_count)), \
         "label permutation does not permute the DOFs"
+    return perm
+
+
+def _action(mesh: SurfaceMesh):
+    """sigma -> dof_permutation(mesh, sigma), composed from G's generators."""
+    kind = mesh.net.kind
+    gens = {g: dof_permutation(mesh, g) for g in group_generators(kind)}
+    tree = _spanned(tuple(gens), label_group(kind)[0])
+
+    def perm(sigma):    # uncached: no intermediate stays on the heap
+        p = np.arange(mesh.dof_count)
+        while tree[sigma]:
+            g, sigma = tree[sigma]
+            p = p[gens[g]]
+        return p
+
     return perm
 
 
@@ -274,11 +285,10 @@ def sector_bases(perms, n: int, characters=None) -> list:
     orbit, col_of_rep = np.unique(rep, return_inverse=True)
     carrier = (images[:, rep] == np.arange(n)).argmax(axis=0)
     stabilizes = images[:, orbit] == orbit             # (|H|, orbits)
-    elements = np.arange(len(images))
     bases = []
     for c in range(len(images)) if characters is None else characters:
-        odd = np.array([bin(b & c).count("1") % 2 for b in elements],
-                       dtype=bool)
+        odd = np.array([bin(b & c).count("1") % 2
+                        for b in range(len(images))], dtype=bool)
         sign = np.where(odd, -1.0, 1.0)
         kept = ~(stabilizes & odd[:, None]).any(axis=0)
         column = np.cumsum(kept) - 1
@@ -326,8 +336,9 @@ def split(K, M):
     Only a K that assemble returned carries its mesh; any other matrix (a
     copy, a test matrix) has none.  The sectors are returned, one per orbit
     of conjugate characters and possibly empty, only if K and M are
-    invariant under each generator of the normalizer N, which contains H
-    and every conjugator; this also rejects data edited in place.
+    invariant under both group_generators, hence under all of G, which
+    contains H and every conjugator; this also rejects data edited in
+    place.  A pencil invariant under N but not G is solved whole.
     """
     mesh = getattr(K, "_mesh", None)
     n = K.shape[0]
@@ -337,22 +348,10 @@ def split(K, M):
     K, M = K.tocsr(), M.tocsr()
     kind = mesh.net.kind
     orbits = sector_orbits(kind)
-    identity = orbits.normalizer[0]
-    tree = _spanned(orbits.generators, identity)
-    perms = {identity: np.arange(n)}
-
-    def perm(sigma):
-        # N's generators are computed from the mesh, every other element is
-        # composed from them along the breadth-first tree
-        if sigma not in perms:
-            g, parent = tree[sigma]
-            perms[sigma] = (dof_permutation(mesh, g) if parent == identity
-                            else perm(g)[perm(parent)])
-        return perms[sigma]
-
+    perm = _action(mesh)
     shared = (np.array_equal(K.indptr, M.indptr)
               and np.array_equal(K.indices, M.indices))
-    for g in orbits.generators:
+    for g in group_generators(kind):
         index = _conjugation(K, perm(g))
         if not (_invariant(K, index) and _invariant(
                 M, index if shared else _conjugation(M, perm(g)))):
