@@ -2,11 +2,13 @@
 
 Element integrals are evaluated in closed form (the integrands are polynomial,
 so no quadrature is involved).  Assembly maps the element matrices through the
-mesh's DOF map: the diagonal is summed per DOF, and each unordered off-diagonal
-pair of an element is added once, at (min, max) of its two DOFs, into an upper
-triangle U.  The matrix is U + U^T + D, so both triangles hold the very same
-sums and the result is exactly symmetric.  The closed surface has no boundary
-conditions, so the stiffness matrix has the constants in its kernel.
+mesh's DOF map.  Each unordered off-diagonal pair of an element is keyed by
+lo*n + hi of its two DOFs; the sorted distinct keys are one real upper-triangle
+pattern U, built once and shared by K and M.  Each matrix's entries of U, and
+its diagonal D, are bincount sums of the element terms in element order.  The
+matrix is U + U^T + D, so both triangles hold the very same sums and the
+result is exactly symmetric.  The closed surface has no boundary conditions,
+so the stiffness matrix has the constants in its kernel.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     (the cube's cell diagonals, each opposite two right angles) are not
     stored.
 
+    Every DOF pair of a build_mesh mesh lies in exactly two elements, so each
+    off-diagonal entry is a two-term sum, which has the same bits in either
+    order; U, U^T and D have disjoint patterns, so adding them only copies
+    entries.  A mesh with a pair in three or more elements is still summed
+    correctly, in element order, but the bits of those sums are not promised.
+
     K carries the mesh as the private attribute ``_mesh``, through which
     eigen.solve_lowest finds the mesh's symmetry sectors.  Anything that
     builds a new matrix drops it (K.copy(), arithmetic, slicing); data
@@ -63,45 +71,45 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     decides.
     """
     elements = mesh.elements
-    x, y = mesh.planar_vertices.T
-    # one (E,) array per element column: corner i's coordinates, and the edge
-    # opposite corner i, directed so the three edges sum to zero
-    cx = [x[elements[:, i]] for i in range(3)]
-    cy = [y[elements[:, i]] for i in range(3)]
-    ex = [cx[2] - cx[1], cx[0] - cx[2], cx[1] - cx[0]]
-    ey = [cy[2] - cy[1], cy[0] - cy[2], cy[1] - cy[0]]
+    # the edge opposite corner i, directed so the three edges sum to zero:
+    # one (E,) array per edge and coordinate, from that coordinate's corners
+    ex, ey = ([c[:, 2] - c[:, 1], c[:, 0] - c[:, 2], c[:, 1] - c[:, 0]]
+              for c in (x[elements] for x in mesh.planar_vertices.T))
     area = 0.5 * (ex[2] * (-ey[1]) - ey[2] * (-ex[1]))
     if np.any(area <= 1e-14):
         raise DegenerateElementError("mesh contains a (near-)degenerate element")
     dofs = mesh.dof_of[elements]                         # (E, 3)
     n = mesh.dof_count
 
-    # local pairs (0, 1), (0, 2), (1, 2), each keyed by (min, max) of its
+    # local pairs (0, 1), (0, 2), (1, 2), each keyed by lo*n + hi of its
     # DOFs; the (E, 3) arrays are filled column by column but read
-    # element-major, the order in which the sparse sums below add entries
+    # element-major, the order in which the bincounts below add entries
     scale = 4.0 * area
-    lo, hi = np.empty_like(dofs), np.empty_like(dofs)
+    keys = np.empty(dofs.shape, np.int64)
     k_diag, k_pair = np.empty(dofs.shape), np.empty(dofs.shape)
     for p, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
-        np.minimum(dofs[:, a], dofs[:, b], out=lo[:, p])
-        np.maximum(dofs[:, a], dofs[:, b], out=hi[:, p])
+        np.multiply(np.minimum(dofs[:, a], dofs[:, b]), n, out=keys[:, p])
+        keys[:, p] += np.maximum(dofs[:, a], dofs[:, b])
         k_diag[:, p] = (ex[p] * ex[p] + ey[p] * ey[p]) / scale
         k_pair[:, p] = (ex[a] * ex[b] + ey[a] * ey[b]) / scale
-    lo, hi = lo.ravel(), hi.ravel()
+    del ex, ey, scale
+    # one sorted edge list, the upper triangle's pattern for K and M alike
+    edges, slot = np.unique(keys.ravel(), return_inverse=True)
+    del keys
+    rows, cols = np.divmod(edges, n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    del edges, rows
+
+    def matrix(pair, diag):
+        U = sparse.csr_matrix((pair, cols, indptr), shape=(n, n))
+        return U + U.T + sparse.diags(diag, format="csr")
+
+    K = matrix(np.bincount(slot, k_pair.ravel()),
+               np.bincount(dofs.ravel(), k_diag.ravel(), n))
+    del k_pair, k_diag
     m_pair = np.repeat(area / 12.0, 3)
-    # K + iM goes through the sparse structure once; complex sums add real
-    # and imaginary parts independently, so each part is summed exactly as
-    # it would be alone
-    U = sparse.coo_matrix((k_pair.ravel() + 1j * m_pair, (lo, hi)),
-                          shape=(n, n)).tocsr()
-    D = sparse.diags(np.bincount(dofs.ravel(), k_diag.ravel(), n)
-                     + 1j * np.bincount(dofs.ravel(), 2.0 * m_pair, n),
-                     format="csr")
-    A = U + U.T + D
-    K = sparse.csr_matrix((A.data.real.copy(), A.indices.copy(),
-                           A.indptr.copy()), shape=(n, n))
-    M = sparse.csr_matrix((A.data.imag.copy(), A.indices, A.indptr),
-                          shape=(n, n))
+    M = matrix(np.bincount(slot, m_pair),
+               np.bincount(dofs.ravel(), 2.0 * m_pair, n))
     K.eliminate_zeros()
     K._mesh = mesh
     return K, M

@@ -1,7 +1,12 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.integrate import dblquad
 
 import polyspec as ps
@@ -198,3 +203,76 @@ def test_assembly_matches_dense_oracle(kind, r, bench):
                 diagonals |= {(da, db), (db, da)}
     assert len(diagonals) == 2 * 6 * r * r
     assert stored_k == stored_m - diagonals
+
+
+def _complex_coo_assemble(mesh):
+    """K and M from one complex COO -> CSR pass of K + iM, the path assemble
+    took before the shared real pattern: its bit-identity oracle."""
+    n, dofs = mesh.dof_count, mesh.dof_of[mesh.elements]
+    c = mesh.planar_vertices[mesh.elements]         # (E, 3, 2) corners
+    e = c[:, [2, 0, 1]] - c[:, [1, 2, 0]]           # edge opposite corner i
+    area = 0.5 * (e[:, 2, 0] * -e[:, 1, 1] - e[:, 2, 1] * -e[:, 1, 0])
+    a, b = [0, 0, 1], [1, 2, 2]                     # the local pairs
+    k_pair = (e[:, a] * e[:, b]).sum(axis=2) / (4.0 * area[:, None])
+    k_diag = (e * e).sum(axis=2) / (4.0 * area[:, None])
+    m_pair = np.repeat(area / 12.0, 3)
+    lo = np.minimum(dofs[:, a], dofs[:, b]).ravel()
+    hi = np.maximum(dofs[:, a], dofs[:, b]).ravel()
+    U = sparse.coo_matrix((k_pair.ravel() + 1j * m_pair, (lo, hi)),
+                          shape=(n, n)).tocsr()
+    D = sparse.diags(np.bincount(dofs.ravel(), k_diag.ravel(), n)
+                     + 1j * np.bincount(dofs.ravel(), 2.0 * m_pair, n),
+                     format="csr")
+    A = U + U.T + D
+    K = sparse.csr_matrix((A.data.real.copy(), A.indices.copy(),
+                           A.indptr.copy()), shape=(n, n))
+    K.eliminate_zeros()
+    M = sparse.csr_matrix((A.data.imag.copy(), A.indices, A.indptr),
+                          shape=(n, n))
+    return K, M
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 7])
+@pytest.mark.parametrize("permuted", [False, True])
+def test_assembly_is_bitwise_the_complex_coo_path(kind, r, permuted, bench):
+    mesh = bench.mesh(kind, r)
+    if permuted:   # the shim of test_assembly_permutation_equivariance
+        perm = np.random.default_rng(11).permutation(mesh.dof_count)
+        mesh = SimpleNamespace(planar_vertices=mesh.planar_vertices,
+                               elements=mesh.elements,
+                               dof_of=perm[mesh.dof_of],
+                               dof_count=mesh.dof_count)
+    for A, want in zip(ps.assemble(mesh), _complex_coo_assemble(mesh)):
+        assert A.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(A, name), getattr(want, name)
+            assert got.dtype == ref.dtype, name
+            assert got.tobytes() == ref.tobytes(), name
+        assert A.has_canonical_format == want.has_canonical_format
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 7])
+def test_every_dof_pair_lies_in_exactly_two_elements(kind, r, bench):
+    # assemble's off-diagonal sums are two-term, hence order-free, by this
+    mesh = bench.mesh(kind, r)
+    dofs = mesh.dof_of[mesh.elements].tolist()
+    assert all(len(set(tri)) == 3 for tri in dofs)
+    pairs = Counter(frozenset(pair) for tri in dofs
+                    for pair in itertools.combinations(tri, 2))
+    assert set(pairs.values()) == {2}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_assembly_peak_memory_is_a_few_times_its_output(kind, bench):
+    mesh = bench.mesh(kind, 32)
+    tracemalloc.start()
+    try:
+        K, M = ps.assemble(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for A in (K, M)
+                 for a in (A.data, A.indices, A.indptr))
+    assert peak <= 4 * output
