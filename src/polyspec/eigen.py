@@ -7,11 +7,13 @@ factor.  A K returned by fem.assemble carries its mesh.  If K and M are
 invariant under the mesh's symmetry permutations, the pencil splits into
 symmetry sectors of about n/4 or n/8 DOFs (see polyspec.symmetry).  Sectors
 that a symmetry maps onto each other have the same spectrum, so that solver
-runs once per orbit of conjugate sectors (4 of 8 on the octahedron and the
-icosahedron, 3 of 4 on the tetrahedron, 4 of 4 on the cube), and each pair
-found is lifted into every sector of its orbit by a DOF permutation; a copy
-of K, a matrix built any other way, or data edited out of invariance is
-solved whole.  dense_solve is the full-spectrum direct oracle for small
+runs once per orbit of conjugate sectors (2 of 4 on the tetrahedron, 4 of 8
+on the octahedron, the icosahedron and, at even resolution, the cube), and
+each pair found is lifted into every sector of its orbit by a DOF
+permutation; each sector's first ask covers what it needs at typical m, so
+each is usually solved once.  The cube at odd resolution, a copy of K, a
+matrix built any other way, or data edited out of invariance is solved
+whole.  dense_solve is the full-spectrum direct oracle for small
 problems.  Both return M-normalized eigenvectors with a deterministic sign
 convention; solve_lowest checks the residual contract in the full pencil,
 copied pairs included.
@@ -28,6 +30,7 @@ peak RSS does not include it (see RUSAGE_CHILDREN).
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -44,7 +47,8 @@ _DENSE_GUARD = 2000
 _SHIFT = -1e-2
 _CLUSTER_GAP = 1e-6
 # pairs a sector computes beyond its share of m, so that the merge is usually
-# certified without solving a sector twice
+# certified without solving a sector twice; the symmetric sector asks for
+# ceil(sqrt(share)) instead where that is larger (see _lowest_by_sector)
 _SECTOR_MARGIN = 4
 # fewest DOFs, summed over the sectors to solve, that go to worker processes;
 # on 2 CPUs with 1 BLAS thread the pool took 1.18x the in-process time on the
@@ -199,19 +203,30 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
 
     Only one sector per orbit of conjugate sectors is solved; every value it
     finds counts once per sector in its orbit.  Sector i of size n_i first
-    asks for ceil(m n_i / n) + _SECTOR_MARGIN pairs.  The merge is certified
-    once every sector is exhausted or its largest computed value exceeds the
-    merged m-th value; a sector that is neither is solved again for twice as
-    many pairs.  Of the merged pairs, only the m lowest are lifted: by
-    v = B y in the representative, and by moving v through the DOF
-    permutation in each conjugate sector.
+    asks for its share s_i = ceil(m n_i / n) plus _SECTOR_MARGIN pairs; the
+    symmetric sector (character 0) asks for s_i + max(_SECTOR_MARGIN,
+    ceil(sqrt(s_i))).  Where H holds reflections (on every kind but the
+    tetrahedron) their mirror lines act as Neumann walls for that sector, so
+    its count runs ahead of its share by a Weyl boundary term that grows
+    like the square root of the share: 5 pairs at s_i = 28 on the
+    octahedron at r=32, m=200.  Below s_i = 17 the margin covers it.  The
+    merge is certified once every sector is exhausted or its largest
+    computed value exceeds the merged m-th value; a sector that is neither
+    is solved again for twice as many pairs.  That is a fallback: at m=200
+    on r=32 meshes, for example, no sector needs it.  Of the merged pairs,
+    only the m lowest are lifted: by v = B y in the representative, and by
+    moving v through the DOF permutation in each conjugate sector.
 
     With a pool (see _pool), workers run the solves, largest sector first.
     Either way the results, and a failure's applications plus those of the
     runs before it, are taken in sector order.
     """
     sizes = [s.basis.shape[1] for s in sectors]
-    want = [min(size, -(-m * size // n) + _SECTOR_MARGIN) for size in sizes]
+    want = []
+    for s, size in zip(sectors, sizes):
+        share = -(-m * size // n)
+        extra = math.ceil(math.sqrt(share)) if s.character == 0 else 0
+        want.append(min(size, share + max(_SECTOR_MARGIN, extra)))
     found = {}
     applications = 0
     todo = [i for i, size in enumerate(sizes) if size]

@@ -97,17 +97,26 @@ def _element_template(r: int, is_cube: bool) -> np.ndarray:
 
     Local ids number the face's grid points (i, j) row by row, as face_grid
     lists them.  Square cells come in row-major order, each split along the
-    planar lower-left -> upper-right diagonal into (00, 10, 11) then
-    (00, 11, 01).  Row i of triangle cells holds 2(r - i) - 1 elements,
-    alternating up and down.
+    diagonal that points toward the face's centre (the quadrant rule): cell
+    (i, j) is split along 00 -> 11 into (00, 10, 11) then (00, 11, 01) when
+    i < r/2 and j < r/2 agree, and otherwise along 10 -> 01 into
+    (00, 10, 01) then (10, 11, 01).  For even r the split is invariant under
+    the square's eight symmetries, so the cube mesh keeps all 48 of the
+    cube's; for odd r the middle row and column of cells fall on one side.
+    Row i of triangle cells holds 2(r - i) - 1 elements, alternating up and
+    down.
     """
     if is_cube:
         ids = np.arange((r + 1) ** 2).reshape(r + 1, r + 1)
-        v00, v10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
-        v11, v01 = ids[1:, 1:].ravel(), ids[:-1, 1:].ravel()
-        lower = np.column_stack([v00, v10, v11])
-        upper = np.column_stack([v00, v11, v01])
-        return np.stack([lower, upper], axis=1).reshape(-1, 3)
+        v00, v10, v11, v01 = (ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:],
+                              ids[:-1, 1:])
+        low = np.arange(r) < r / 2
+        rising = np.equal.outer(low, low)[..., None]
+        first = np.where(rising, np.stack([v00, v10, v11], axis=-1),
+                         np.stack([v00, v10, v01], axis=-1))
+        second = np.where(rising, np.stack([v00, v11, v01], axis=-1),
+                          np.stack([v10, v11, v01], axis=-1))
+        return np.stack([first, second], axis=2).reshape(-1, 3)
     i, j = np.nonzero(np.add.outer(np.arange(r), np.arange(r)) < r)
     here = i * (r + 1) - i * (i - 1) // 2 + j          # point (i, j)
     above = here + r + 1 - i                           # point (i + 1, j)
@@ -178,8 +187,10 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
     """Find the element containing a planar point and its barycentric coords.
 
     Returns (element index, barycentric coordinates w.r.t. the element's three
-    planar vertices).  Raises OutOfDomainError if p lies outside the net
-    beyond the 1e-9 tolerance or is not finite.
+    planar vertices).  A cube cell's element is picked by the side of the
+    cell diagonal that _element_template's quadrant rule chose.  Raises
+    OutOfDomainError if p lies outside the net beyond the 1e-9 tolerance or
+    is not finite.
     """
     x, y = float(p[0]), float(p[1])
     net = mesh.net
@@ -201,9 +212,10 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
     # every face holds the same number of elements, in face order
     start = fi * (len(mesh.elements) // len(net.faces))
     if net.kind is PolyhedronKind.CUBE:
+        # the cell's diagonal, by _element_template's quadrant rule
         fu, fv = u - i, v - j
-        cell_idx = i * r + j
-        eidx = start + 2 * cell_idx + (0 if fv <= fu else 1)
+        second = fv > fu if (i < r / 2) == (j < r / 2) else fu + fv > 1.0
+        eidx = start + 2 * (i * r + j) + int(second)
     else:
         if i + j > r - 1:
             over = i + j - (r - 1)

@@ -2,9 +2,11 @@
 
 Every isometry of a regular polyhedron permutes its vertices, so it acts on
 the vertex labels of the net tables.  The label permutations that map the
-net's faces onto faces (and, on the cube, each face's split diagonal onto a
-split diagonal) map the refined mesh onto itself, hence permute its degrees
-of freedom, and K and M commute with those permutations.  An elementary
+net's faces onto faces map the refined grid onto itself, hence permute its
+degrees of freedom.  They map elements onto elements too, so that K and M
+commute with them, on the triangle kinds at every resolution and on the cube
+at even resolution (see mesh._element_template); at odd resolution split
+finds the cube's pencil not invariant, and it is solved whole.  An elementary
 abelian 2-subgroup H of them has 2^k sign characters, and the DOF space
 splits M- and K-orthogonally into one invariant sector per character
 (Bossavit, CMAME 56, 1986; Fassler & Stiefel, Group Theoretical Methods and
@@ -22,6 +24,7 @@ conjugates.  It checks K and M under two generators of the label group G.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -65,11 +68,9 @@ def label_group(kind: PolyhedronKind) -> tuple:
     Backtracks over the labels in breadth-first order of the label graph
     (labels joined by a face edge): each label takes an unused image whose
     adjacency to the images so far matches its own.  Of these graph
-    automorphisms it keeps those that map faces to faces; on the cube, also
-    each face's split diagonal (corners 0-2) to a split diagonal.  Orders:
-    24 (tetrahedron), 48 (octahedron), 120 (icosahedron), and 4 for the
-    cube, whose cells are all split along one planar direction.  Sorted, so
-    the identity comes first.
+    automorphisms it keeps those that map faces to faces.  Orders: 24
+    (tetrahedron), 48 (octahedron and cube) and 120 (icosahedron).  Sorted,
+    so the identity comes first.
     """
     net = build_net(kind)
     near = {}                   # label -> the labels it shares a face edge with
@@ -84,8 +85,6 @@ def label_group(kind: PolyhedronKind) -> tuple:
     for v in order:
         order += sorted(near[v] - set(order))
     faces = {frozenset(f.labels) for f in net.faces}
-    diagonals = ({frozenset((f.labels[0], f.labels[2])) for f in net.faces}
-                 if kind is PolyhedronKind.CUBE else set())
     found = []
 
     def extend(image):
@@ -100,30 +99,77 @@ def label_group(kind: PolyhedronKind) -> tuple:
                 extend({**image, v: w})
 
     extend({})
-
-    def keeps(sigma, sets):
-        return all(frozenset(sigma[x] for x in s) in sets for s in sets)
-
     return tuple(sorted(s for s in found
-                        if keeps(s, faces) and keeps(s, diagonals)))
+                        if all(frozenset(s[x] for x in f) in faces
+                               for f in faces)))
+
+
+def _scan(elements, identity):
+    """Generators that one scan takes from elements, in their order.
+
+    Each involution that commutes with those already taken and lies outside
+    their span is taken.
+    """
+    gens, span = (), {identity}
+    for g in elements:
+        if (g not in span and _compose(g, g) == identity
+                and all(_compose(g, h) == _compose(h, g) for h in gens)):
+            gens += (g,)
+            span |= {_compose(g, h) for h in span}
+    return gens
+
+
+def _normal_involutions(kind: PolyhedronKind) -> set:
+    """The identity and every involution that commutes with its conjugates.
+
+    A normal elementary abelian 2-subgroup of label_group is made of such
+    involutions, so where they form a group (on all four label groups) it is
+    the largest normal one.  Conjugacy classes are closed under conjugation
+    by the two group_generators.
+    """
+    group = label_group(kind)
+    gens = group_generators(kind)
+    inverse = [tuple(np.argsort(g).tolist()) for g in gens]
+    found, seen = {group[0]}, set()
+    for g in group[1:]:
+        if g in seen or _compose(g, g) != group[0]:
+            continue
+        conjugates = [g]
+        for x in conjugates:
+            for a, b in zip(gens, inverse):
+                y = _compose(a, _compose(x, b))
+                if y not in conjugates:
+                    conjugates.append(y)
+        seen.update(conjugates)
+        if all(_compose(x, y) == _compose(y, x)
+               for x, y in itertools.combinations(conjugates, 2)):
+            found.update(conjugates)
+    return found
 
 
 @lru_cache(maxsize=None)
 def sector_generators(kind: PolyhedronKind) -> tuple:
-    """Generators of a largest elementary abelian 2-subgroup of label_group.
+    """Generators of a largest elementary abelian 2-subgroup H of label_group.
 
     One scan in group order takes each involution that commutes with those
-    already taken and lies outside their span.  On the four label groups
-    this reaches the largest rank: 2 for the tetrahedron and the cube, 3 for
-    the octahedron and the icosahedron, so 4 or 8 sectors.
+    already taken and lies outside their span; on the four label groups this
+    reaches the largest rank: 2 on the tetrahedron, 3 on the others.  If
+    _normal_involutions is a group of that rank, hence a normal one, the same
+    scan over its elements gives H instead, so that all of G, not only a
+    part of it, permutes the sectors (see sector_orbits).  That is the Klein
+    group of the tetrahedron's double transpositions and the three
+    coordinate reflections of the octahedron and the cube (the octahedron's
+    scan finds these already): 4, 8 and 8 sectors.  The icosahedron's only
+    normal one is the central inversion, so it keeps the scan's H of rank 3
+    and 8 sectors.
     """
-    group, gens = label_group(kind), ()
-    identity = group[0]
-    for g in group:
-        if (_compose(g, g) == identity
-                and all(_compose(g, h) == _compose(h, g) for h in gens)
-                and g not in _spanned(gens, identity)):
-            gens += (g,)
+    group = label_group(kind)
+    gens = _scan(group, group[0])
+    normal = _normal_involutions(kind)
+    # closed under composition, involutions form an elementary abelian group
+    if len(normal) == 2 ** len(gens) and all(
+            _compose(x, y) in normal for x in normal for y in normal):
+        gens = _scan([g for g in group if g in normal], group[0])
     return gens
 
 
@@ -155,9 +201,11 @@ class SectorOrbits(NamedTuple):
 def sector_orbits(kind: PolyhedronKind) -> SectorOrbits:
     """The normalizer of sector_generators' group and its character orbits.
 
-    Orbit sizes 1, 2, 1 (tetrahedron), 1, 3, 3, 1 (octahedron and
-    icosahedron) and 1, 1, 1, 1 (cube).  split checks and composes along
-    G's two group_generators, not generators of N.
+    N is all of G where sector_generators found a normal H: orbit sizes
+    1, 3 on the tetrahedron and 1, 3, 3, 1 on the octahedron and the cube,
+    so 2 of 4 and 4 of 8 sectors are solved.  The icosahedron's N has order
+    24, with orbit sizes 1, 3, 3, 1.  split checks and composes along G's
+    two group_generators, not generators of N.
     """
     group = label_group(kind)
     gens = sector_generators(kind)

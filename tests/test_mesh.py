@@ -148,10 +148,14 @@ def _elements_oracle(mesh):
                    for i in range(r + 1)]
             for i in range(r):
                 for j in range(r):
-                    # split along the lower-left -> upper-right diagonal
+                    # split along the diagonal through the cell that points
+                    # toward the face's centre (r/2, r/2)
                     v00, v10 = ids[i][j], ids[i + 1][j]
                     v11, v01 = ids[i + 1][j + 1], ids[i][j + 1]
-                    elements += [(v00, v10, v11), (v00, v11, v01)]
+                    if (2 * i < r) == (2 * j < r):
+                        elements += [(v00, v10, v11), (v00, v11, v01)]
+                    else:
+                        elements += [(v00, v10, v01), (v10, v11, v01)]
             continue
         (a0, a1), (b0, b1), (c0, c1) = f.corners
         ids = [[index[(a0 * (r - i - j) + b0 * i + c0 * j,
