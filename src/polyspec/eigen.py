@@ -5,7 +5,7 @@ solve_lowest targets the m smallest eigenvalues with shift-invert Lanczos
 with a symmetric minimum-degree ordering and every Lanczos step reuses that
 factor.  A K returned by fem.assemble carries its mesh.  If K and M are
 invariant under the mesh's symmetry permutations, the pencil splits into
-symmetry sectors of about n/4 or n/8 DOFs (see polyspec.symmetry).  Sectors
+symmetry sectors of about n/4 or n/8 DOFs (see symmetry.sector_plan).  Sectors
 that a symmetry maps onto each other have the same spectrum, so that solver
 runs once per orbit of conjugate sectors (2 of 4 on the tetrahedron, 4 of 8
 on the octahedron, the icosahedron and, at even resolution, the cube), and

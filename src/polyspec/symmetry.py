@@ -19,12 +19,12 @@ sector chi onto sector h -> chi(n^-1 h n).  Sectors in one N-orbit of
 characters therefore have the same spectrum, and the eigenvectors of one are
 those of the orbit's representative, moved by n's DOF permutation.  split
 returns the representatives only, each with the permutations onto its
-conjugates.  It checks K and M under two generators of the label group G.
+conjugates.  It checks K and M under two generators of the label group G;
+sector_plan reads these, H and N's orbits off one product table of G.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,27 +38,6 @@ from .net import PolyhedronKind, build_net
 # element contributions in a mesh-dependent order, so P A P^T equals A only
 # to a few ulp
 INVARIANCE_TOL = 1e-12
-
-
-def _compose(a, b):
-    """The label permutation that applies b, then a."""
-    return tuple(a[x] for x in b)
-
-
-def _spanned(gens, identity):
-    """{element: (generator, parent)} of the group gens generate.
-
-    Breadth first from the identity (whose entry is None); every other
-    element is _compose(generator, parent).
-    """
-    tree, queue = {identity: None}, [identity]
-    for x in queue:
-        for g in gens:
-            y = _compose(g, x)
-            if y not in tree:
-                tree[y] = (g, x)
-                queue.append(y)
-    return tree
 
 
 @lru_cache(maxsize=None)
@@ -104,141 +83,119 @@ def label_group(kind: PolyhedronKind) -> tuple:
                                for f in faces)))
 
 
-def _scan(elements, identity):
-    """Generators that one scan takes from elements, in their order.
+@lru_cache(maxsize=None)
+def _table(kind: PolyhedronKind) -> np.ndarray:
+    """The product table of label_group: entry [a, b] indexes a∘b.
 
-    Each involution that commutes with those already taken and lies outside
-    their span is taken.
+    a∘b applies b, then a; index 0 is the identity.  Label permutations read
+    as base-V numbers (V labels, the first most significant) sort as
+    label_group does, so each product, its number summed label by label (no
+    (|G|, |G|, V) array), is found by binary search.  Read-only: it is cached.
     """
-    gens, span = (), {identity}
+    group = np.array(label_group(kind))
+    digits = group.shape[1] ** np.arange(group.shape[1])[::-1]
+    keys = group @ digits  # products[a, b] is a∘b's: (a∘b)[x] = a[b[x]]
+    products = sum(group[:, group[:, x]] * d for x, d in enumerate(digits))
+    table = np.minimum(np.searchsorted(keys, products), len(keys) - 1)
+    assert np.array_equal(keys[table], products), "product not in the group"
+    table.flags.writeable = False
+    return table
+
+
+def _tree(rows, gens) -> dict:
+    """{x: (i, y)} with x = gens[i]∘y over the group gens generate, for rows
+    the lists of _table; breadth first from the identity 0 (entry None)."""
+    tree, queue = {0: None}, [0]
+    for y in queue:
+        for i, g in enumerate(gens):
+            x = rows[g][y]
+            if x not in tree:
+                tree[x] = (i, y)
+                queue.append(x)
+    return tree
+
+
+def _scan(rows, elements) -> tuple:
+    """The involutions taken in order from elements: each that commutes with
+    those already taken and lies outside their span."""
+    gens, span = (), {0}
     for g in elements:
-        if (g not in span and _compose(g, g) == identity
-                and all(_compose(g, h) == _compose(h, g) for h in gens)):
+        if (g not in span and rows[g][g] == 0
+                and all(rows[g][h] == rows[h][g] for h in gens)):
             gens += (g,)
-            span |= {_compose(g, h) for h in span}
+            span |= {rows[g][h] for h in span}
     return gens
 
 
-def _normal_involutions(kind: PolyhedronKind) -> set:
-    """The identity and every involution that commutes with its conjugates.
+class SectorPlan(NamedTuple):
+    """What split needs of label_group, each element as its index there.
 
-    A normal elementary abelian 2-subgroup of label_group is made of such
-    involutions, so where they form a group (on all four label groups) it is
-    the largest normal one.  Conjugacy classes are closed under conjugation
-    by the two group_generators.
-    """
-    group = label_group(kind)
-    gens = group_generators(kind)
-    inverse = [tuple(np.argsort(g).tolist()) for g in gens]
-    found, seen = {group[0]}, set()
-    for g in group[1:]:
-        if g in seen or _compose(g, g) != group[0]:
-            continue
-        conjugates = [g]
-        for x in conjugates:
-            for a, b in zip(gens, inverse):
-                y = _compose(a, _compose(x, b))
-                if y not in conjugates:
-                    conjugates.append(y)
-        seen.update(conjugates)
-        if all(_compose(x, y) == _compose(y, x)
-               for x, y in itertools.combinations(conjugates, 2)):
-            found.update(conjugates)
-    return found
-
-
-@lru_cache(maxsize=None)
-def sector_generators(kind: PolyhedronKind) -> tuple:
-    """Generators of a largest elementary abelian 2-subgroup H of label_group.
-
-    One scan in group order takes each involution that commutes with those
-    already taken and lies outside their span; on the four label groups this
-    reaches the largest rank: 2 on the tetrahedron, 3 on the others.  If
-    _normal_involutions is a group of that rank, hence a normal one, the same
-    scan over its elements gives H instead, so that all of G, not only a
-    part of it, permutes the sectors (see sector_orbits).  That is the Klein
-    group of the tetrahedron's double transpositions and the three
-    coordinate reflections of the octahedron and the cube (the octahedron's
-    scan finds these already): 4, 8 and 8 sectors.  The icosahedron's only
-    normal one is the central inversion, so it keeps the scan's H of rank 3
-    and 8 sectors.
-    """
-    group = label_group(kind)
-    gens = _scan(group, group[0])
-    normal = _normal_involutions(kind)
-    # closed under composition, involutions form an elementary abelian group
-    if len(normal) == 2 ** len(gens) and all(
-            _compose(x, y) in normal for x in normal for y in normal):
-        gens = _scan([g for g in group if g in normal], group[0])
-    return gens
-
-
-@lru_cache(maxsize=None)
-def group_generators(kind: PolyhedronKind) -> tuple:
-    """The first pair (a, b) of label_group, in group order, that spans it."""
-    group = label_group(kind)
-    return next((a, b) for a in group[1:] for b in group
-                if len(_spanned((a, b), group[0])) == len(group))
-
-
-class SectorOrbits(NamedTuple):
-    """How the normalizer N of the sector group H permutes H's characters.
-
-    normalizer lists N in label_group's order, orbits holds the character
-    orbits in order of their smallest character, which comes first and is
-    the orbit's representative, and conjugators[c] is an element of N that
-    carries the sector of c's representative onto sector c (the identity for
-    a representative).  Characters are numbered as in sector_bases.  split
-    checks invariance under G's two group_generators, not generators of N.
+    pair is G's first spanning pair in group order; tree[x] is (i, y) with
+    x = pair[i]∘y, or None at the identity.  sector_gens generate H.  orbits
+    holds the orbits of H's characters under the normalizer N of H, each led
+    by its smallest character, its representative, and in order of those;
+    conjugators[c] is an element of N that carries the sector of c's
+    representative onto sector c (the identity for a representative).
+    Characters are numbered as in sector_bases.
     """
 
-    normalizer: tuple
+    pair: tuple
+    tree: tuple
+    sector_gens: tuple
     orbits: tuple
     conjugators: tuple
 
 
 @lru_cache(maxsize=None)
-def sector_orbits(kind: PolyhedronKind) -> SectorOrbits:
-    """The normalizer of sector_generators' group and its character orbits.
+def sector_plan(kind: PolyhedronKind) -> SectorPlan:
+    """G's spanning pair, the sector group H and N's orbits on its characters.
 
-    N is all of G where sector_generators found a normal H: orbit sizes
-    1, 3 on the tetrahedron and 1, 3, 3, 1 on the octahedron and the cube,
-    so 2 of 4 and 4 of 8 sectors are solved.  The icosahedron's N has order
-    24, with orbit sizes 1, 3, 3, 1.  split checks and composes along G's
-    two group_generators, not generators of N.
+    H is a largest elementary abelian 2-subgroup of G.  One scan in group order
+    takes each involution that commutes with those already taken and lies
+    outside their span; on the four label groups this reaches the largest rank:
+    2 on the tetrahedron, 3 on the others.  A normal H is made of involutions
+    that commute with all their conjugates n^-1 g n; if these form a group of
+    that rank, hence a normal one, the same scan over them gives H instead, so
+    that all of G permutes the sectors.  That is the Klein group of the
+    tetrahedron's double transpositions and the three coordinate reflections of
+    the octahedron (which the scan finds already) and the cube: N = G, with
+    orbit sizes 1, 3 and 1, 3, 3, 1, so 2 of 4 and 4 of 8 sectors are solved.
+    The icosahedron's only normal one is the central inversion, so it keeps the
+    scan's H of rank 3; its N has order 24, with orbit sizes 1, 3, 3, 1.  split
+    checks and composes along G's pair, not generators of N.
     """
-    group = label_group(kind)
-    gens = sector_generators(kind)
-    elements = [group[0]]               # element b composes the gens in b
-    for g in gens:
-        elements += [_compose(g, h) for h in elements]
-    # masks[n][i] is the bitmask of n^-1 g_i n, which is h exactly when
-    # g_i n = n h; n is in N when each of them is in H
-    masks = {}
-    for n in group:
-        after = {_compose(n, h): b for b, h in enumerate(elements)}
-        bits = [after.get(_compose(g, n)) for g in gens]
-        if None not in bits:
-            masks[n] = bits
-    normalizer = tuple(masks)
-
-    def act(n, c):
-        # the character h -> chi_c(n^-1 h n), whose bit i is chi_c's sign
-        # on n^-1 g_i n
-        return sum((bin(b & c).count("1") & 1) << i
-                   for i, b in enumerate(masks[n]))
-
-    orbits, conjugators = [], [None] * len(elements)
-    for c in range(len(elements)):
+    table = _table(kind)
+    rows, order = table.tolist(), len(table)
+    pair = next((a, b) for a in range(1, order) for b in range(order)
+                if len(_tree(rows, (a, b))) == order)
+    inverse = np.argmin(table, axis=1)      # row a holds 0 at a^-1
+    conj = table[inverse[:, None], table.T]     # [n, g] is n^-1 g n
+    ids = np.arange(order)      # commutes[g]: g commutes with each n^-1 g n
+    commutes = (table[ids, conj] == table[conj, ids]).all(axis=0)
+    normal = np.flatnonzero((table[ids, ids] == 0) & commutes).tolist()
+    gens = _scan(rows, range(order))
+    # closed under composition, involutions form an elementary abelian group
+    if len(_tree(rows, normal)) == len(normal) == 2 ** len(gens):
+        gens = _scan(rows, normal)
+    bit = {0: 0}                        # element of H: the gens it composes
+    for i, g in enumerate(gens):
+        bit.update({rows[g][h]: b | 1 << i for h, b in bit.items()})
+    # masks[n][i] is the bitmask of n^-1 g_i n, None outside H
+    masks = [[bit.get(x) for x in row] for row in conj[:, list(gens)].tolist()]
+    orbits, conjugators = [], [None] * len(bit)
+    for c in range(len(bit)):
         if conjugators[c] is None:
-            orbit = []
-            for n in normalizer:        # the identity first
-                d = act(n, c)
-                if conjugators[d] is None:
-                    orbit.append(d)
-                    conjugators[d] = n
+            orbit = {}
+            # n is in N when each n^-1 g_i n is in H; it carries chi_c onto
+            # h -> chi_c(n^-1 h n), whose bit i is chi_c's sign on n^-1 g_i n
+            for n, bits in enumerate(masks):    # the identity first
+                if None not in bits:
+                    orbit.setdefault(sum(((b & c).bit_count() & 1) << i
+                                         for i, b in enumerate(bits)), n)
             orbits.append(tuple(orbit))
-    return SectorOrbits(normalizer, tuple(orbits), tuple(conjugators))
+            conjugators = [orbit.get(d, n) for d, n in enumerate(conjugators)]
+    return SectorPlan(pair, tuple(map(_tree(rows, pair).get, range(order))),
+                      gens, tuple(orbits), tuple(conjugators))
 
 
 def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
@@ -267,17 +224,15 @@ def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
 
 
 def _action(mesh: SurfaceMesh):
-    """sigma -> dof_permutation(mesh, sigma), composed from G's generators."""
-    kind = mesh.net.kind
-    gens = {g: dof_permutation(mesh, g) for g in group_generators(kind)}
-    tree = _spanned(tuple(gens), label_group(kind)[0])
+    """x -> dof_permutation(mesh, label_group[x]), composed along the plan."""
+    plan, group = sector_plan(mesh.net.kind), label_group(mesh.net.kind)
+    gens = [dof_permutation(mesh, group[g]) for g in plan.pair]
 
-    def perm(sigma):    # uncached: no intermediate stays on the heap
-        p = np.arange(mesh.dof_count)
-        while tree[sigma]:
-            g, sigma = tree[sigma]
-            p = p[gens[g]]
-        return p
+    def perm(x):        # uncached: no intermediate stays on the heap
+        if plan.tree[x] is None:
+            return np.arange(mesh.dof_count)
+        i, y = plan.tree[x]
+        return gens[i][perm(y)]
 
     return perm
 
@@ -384,7 +339,7 @@ def split(K, M):
     Only a K that assemble returned carries its mesh; any other matrix (a
     copy, a test matrix) has none.  The sectors are returned, one per orbit
     of conjugate characters and possibly empty, only if K and M are
-    invariant under both group_generators, hence under all of G, which
+    invariant under both of sector_plan's pair, hence under all of G, which
     contains H and every conjugator; this also rejects data edited in
     place.  A pencil invariant under N but not G is solved whole.
     """
@@ -394,23 +349,22 @@ def split(K, M):
             or not sparse.issparse(M) or M.shape != K.shape):
         return None
     K, M = K.tocsr(), M.tocsr()
-    kind = mesh.net.kind
-    orbits = sector_orbits(kind)
+    plan = sector_plan(mesh.net.kind)
     perm = _action(mesh)
     shared = (np.array_equal(K.indptr, M.indptr)
               and np.array_equal(K.indices, M.indices))
-    for g in group_generators(kind):
+    for g in plan.pair:
         index = _conjugation(K, perm(g))
         if not (_invariant(K, index) and _invariant(
                 M, index if shared else _conjugation(M, perm(g)))):
             return None
-    bases = sector_bases([perm(g) for g in sector_generators(kind)], n,
-                         [orbit[0] for orbit in orbits.orbits])
+    bases = sector_bases([perm(g) for g in plan.sector_gens], n,
+                         [orbit[0] for orbit in plan.orbits])
     sectors = []
-    for orbit, B in zip(orbits.orbits, bases):
+    for orbit, B in zip(plan.orbits, bases):
         C = B.tocsc()
         first, sizes = C.indices[C.indptr[:-1]], np.diff(C.indptr)
-        copies = tuple(perm(orbits.conjugators[c]) for c in orbit[1:])
+        copies = tuple(perm(plan.conjugators[c]) for c in orbit[1:])
         sectors.append(Sector(orbit[0], B, _project(K, first, sizes, B),
                               _project(M, first, sizes, B), copies))
     return sectors

@@ -32,6 +32,19 @@ def compose(a, b):
     return tuple(a[x] for x in b)
 
 
+def elements(kind, indices):
+    """The label permutations at indices of label_group."""
+    return tuple(sym.label_group(kind)[x] for x in indices)
+
+
+def sector_generators(kind):
+    return elements(kind, sym.sector_plan(kind).sector_gens)
+
+
+def group_generators(kind):
+    return elements(kind, sym.sector_plan(kind).pair)
+
+
 def conjugated(A, perm):
     """P A P^T for the permutation matrix P that sends d to perm[d]."""
     inv = np.argsort(perm)
@@ -46,7 +59,7 @@ def test_group_orders_and_sector_counts(kind):
     identity = tuple(range(len(group[0])))
     assert identity in group
     assert all(compose(g, h) in group for g in group for h in group)
-    gens = sym.sector_generators(kind)
+    gens = sector_generators(kind)
     assert 2 ** len(gens) == sectors
     for g in gens:
         assert g in group and g != identity
@@ -77,6 +90,17 @@ GROUP_GENERATORS = {
                                  (1, 2, 0, 5, 10, 6, 3, 4, 9, 11, 7, 8)),
     PolyhedronKind.CUBE: ((0, 1, 4, 5, 2, 3, 6, 7), (1, 3, 0, 2, 5, 7, 4, 6)),
 }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_product_table_matches_composition(kind):
+    group = sym.label_group(kind)
+    table = sym._table(kind)
+    assert table.shape == (len(group), len(group))
+    assert not table.flags.writeable
+    for a, x in enumerate(group):
+        for b, y in enumerate(group):
+            assert group[table[a, b]] == compose(x, y)
 
 
 def span(gens, identity):
@@ -154,7 +178,7 @@ def test_sector_generators_are_the_first_fitting_involutions(kind):
     # 2-subgroup if that reaches the rank of the first-fitting involutions of
     # the whole group; of the whole group otherwise (the icosahedron, whose
     # only normal one is the central inversion)
-    gens = sym.sector_generators(kind)
+    gens = sector_generators(kind)
     assert gens == SECTOR_GENERATORS[kind]
     group = sym.label_group(kind)
     identity = group[0]
@@ -173,9 +197,9 @@ def test_sector_generators_are_the_first_fitting_involutions(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_group_generators_are_the_first_spanning_pair(kind):
-    gens = sym.group_generators(kind)
+    gens = group_generators(kind)
     assert gens == GROUP_GENERATORS[kind]
-    assert sym.group_generators(kind) is gens
+    assert sym._table(kind) is sym._table(kind)
     group = sym.label_group(kind)
     identity = group[0]
     assert span(gens, identity) == set(group)
@@ -192,9 +216,9 @@ def test_action_is_dof_permutation(kind, r, bench):
     # array as the one built from the mesh
     mesh = bench.mesh(kind, r)
     action = sym._action(mesh)
-    for sigma in sym.label_group(kind):
+    for x, sigma in enumerate(sym.label_group(kind)):
         want = sym.dof_permutation(mesh, sigma)
-        got = action(sigma)
+        got = action(x)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -235,7 +259,7 @@ def test_odd_resolution_cube_is_solved_whole(bench):
     kind = PolyhedronKind.CUBE
     mesh = bench.mesh(kind, 3)
     K, M = bench.matrices(kind, 3)
-    perms = [sym.dof_permutation(mesh, g) for g in sym.group_generators(kind)]
+    perms = [sym.dof_permutation(mesh, g) for g in group_generators(kind)]
     assert all(sym.is_invariant(K, p) for p in perms)
     assert not all(sym.is_invariant(M, p) for p in perms)
     assert sym.split(K, M) is None
@@ -257,7 +281,7 @@ def test_conjugation_index_is_the_permuted_copy(kind, r, bench):
     shared = (K.indices.shape == M.indices.shape
               and np.array_equal(K.indices, M.indices))
     assert shared == (kind is not PolyhedronKind.CUBE)
-    for sigma in sym.group_generators(kind):
+    for sigma in group_generators(kind):
         perm = sym.dof_permutation(mesh, sigma)
         index = sym._conjugation(K, perm)
         for A in (K, M):
@@ -275,7 +299,7 @@ def test_invariance_check_survives_a_different_pattern(bench):
     kind = PolyhedronKind.OCTAHEDRON
     mesh = bench.mesh(kind, 4)
     K, _ = bench.matrices(kind, 4)
-    perm = sym.dof_permutation(mesh, sym.group_generators(kind)[0])
+    perm = sym.dof_permutation(mesh, group_generators(kind)[0])
     coo = K.tocoo()
     i = int(np.flatnonzero(perm != np.arange(len(perm)))[0])
     j = next(j for j in range(K.shape[0]) if K[i, j] == 0 and j != i)
@@ -338,7 +362,7 @@ def test_dof_permutation_matches_planar_oracle(kind, r, bench):
 def test_sector_bases_split_the_dofs(kind, r, bench):
     mesh = bench.mesh(kind, r)
     n = mesh.dof_count
-    gens = sym.sector_generators(kind)
+    gens = sector_generators(kind)
     perms = [sym.dof_permutation(mesh, g) for g in gens]
     bases = sym.sector_bases(perms, n)
     sizes = [B.shape[1] for B in bases]
@@ -377,27 +401,72 @@ def characters_of(V, perms):
     return np.array(out)
 
 
+def normalizer(kind):
+    """The n of label_group with n^-1 h n in H for every h in H, in group
+    order, by trying every pair (n, h)."""
+    group = sym.label_group(kind)
+    subgroup = span(sector_generators(kind), group[0])
+    return [n for n in group
+            if all(compose(tuple(np.argsort(n).tolist()), compose(h, n))
+                   in subgroup for h in subgroup)]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_normalizer_orbits(kind):
     order, sizes = ORBITS[kind]
-    orbits = sym.sector_orbits(kind)
-    assert sym.sector_orbits(kind) is orbits
+    plan = sym.sector_plan(kind)
+    assert sym.sector_plan(kind) is plan
     group = sym.label_group(kind)
     identity = group[0]
-    assert len(orbits.normalizer) == order and identity in orbits.normalizer
-    assert set(orbits.normalizer) <= set(group)
-    # two generators span G, which contains N
-    gens = sym.group_generators(kind)
+    normal = normalizer(kind)
+    assert len(normal) == order and identity in normal
+    assert set(normal) <= set(group)
+    # two generators span G, which contains N; the tree leads every element
+    # to the identity along them
+    gens = group_generators(kind)
     assert len(gens) == 2
-    assert set(sym._spanned(gens, identity)) == set(group)
-    assert set(sym.sector_generators(kind)) <= set(orbits.normalizer)
-    assert [len(o) for o in orbits.orbits] == sizes
-    assert sorted(c for o in orbits.orbits for c in o) == \
+    assert span(gens, identity) == set(group)
+    assert len(plan.tree) == len(group) and plan.tree[0] is None
+    for x, entry in enumerate(plan.tree[1:], 1):
+        i, y = entry
+        assert group[x] == compose(gens[i], group[y])
+    assert set(sector_generators(kind)) <= set(normal)
+    assert [len(o) for o in plan.orbits] == sizes
+    assert sorted(c for o in plan.orbits for c in o) == \
         list(range(GROUPS[kind][1]))
-    for orbit in orbits.orbits:
+    conjugators = elements(kind, plan.conjugators)
+    for orbit in plan.orbits:
         assert orbit[0] == min(orbit)
-        assert orbits.conjugators[orbit[0]] == identity
-        assert all(orbits.conjugators[c] in orbits.normalizer for c in orbit)
+        assert conjugators[orbit[0]] == identity
+        assert all(conjugators[c] in normal for c in orbit)
+
+
+# sha256 over split's integer and +-1 output at r=4: each sector's character,
+# basis pattern and signs, and copies.  The conjugators decide the copied
+# vectors bit for bit
+SPLIT_SHA256 = {
+    PolyhedronKind.TETRAHEDRON:
+        "f6440bb594b915e7c5ab7355677b84e6399128b0c42167d593fadb596189f367",
+    PolyhedronKind.OCTAHEDRON:
+        "ad3871898ab885545862b55050be6bcec3aee16129795aa5e5706990c3d3f7f7",
+    PolyhedronKind.ICOSAHEDRON:
+        "485436337b7d8cc0f67e5bd05c21c4ad79391c7f2e2ad2f67f8f64de67f1d318",
+    PolyhedronKind.CUBE:
+        "8d4c0f7ad3b5bc9d348815a7c74af4ba6f18e32dff3c979bba8d10fb007afe43",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_split_is_pinned(kind):
+    K, M = ps.assemble(ps.build_mesh(ps.build_net(kind), 4))
+    digest = hashlib.sha256()
+    for s in sym.split(K, M):
+        B = s.basis
+        assert np.all(np.abs(B.data) == 1)
+        digest.update(np.int64(s.character).tobytes())
+        for x in (B.indptr, B.indices, B.data, *s.copies):
+            digest.update(np.asarray(x, np.int64).tobytes())
+    assert digest.hexdigest() == SPLIT_SHA256[kind]
 
 
 @pytest.mark.parametrize("r, kind", [
@@ -407,22 +476,23 @@ def test_conjugate_sectors_share_the_spectrum(kind, r, bench):
     mesh = bench.mesh(kind, r)
     K, M = bench.matrices(kind, r)
     n = mesh.dof_count
-    orbits = sym.sector_orbits(kind)
-    perms = [sym.dof_permutation(mesh, g) for g in sym.sector_generators(kind)]
+    plan = sym.sector_plan(kind)
+    conjugators = elements(kind, plan.conjugators)
+    perms = [sym.dof_permutation(mesh, g) for g in sector_generators(kind)]
     bases = sym.sector_bases(perms, n)
     sectors = sym.split(K, M)
-    assert [s.character for s in sectors] == [o[0] for o in orbits.orbits]
+    assert [s.character for s in sectors] == [o[0] for o in plan.orbits]
 
     def spectrum(B):
         return np.array([p.value for p in ps.dense_solve(B.T @ K @ B,
                                                          B.T @ M @ B)])
 
-    for orbit, sector in zip(orbits.orbits, sectors):
+    for orbit, sector in zip(plan.orbits, sectors):
         rep = spectrum(bases[orbit[0]])
         assert len(sector.copies) == len(orbit) - 1
         for c, copy in zip(orbit[1:], sector.copies):
             assert np.array_equal(
-                copy, sym.dof_permutation(mesh, orbits.conjugators[c]))
+                copy, sym.dof_permutation(mesh, conjugators[c]))
             # the conjugator carries the representative's basis into sector
             # c: every H generator acts on the moved columns with c's sign
             moved = sparse.csr_matrix(bases[orbit[0]])[np.argsort(copy)]
@@ -442,11 +512,11 @@ def test_copies_repeat_their_representative_bit_for_bit(kind, bench):
     sectors = sym.split(K, M)
     vals, vecs, _ = ps.eigen._lowest_by_sector(sectors, n, m, 0, None)
     assert vecs.shape == (n, m) and np.all(np.diff(vals) >= 0)
-    perms = [sym.dof_permutation(mesh, g) for g in sym.sector_generators(kind)]
+    perms = [sym.dof_permutation(mesh, g) for g in sector_generators(kind)]
     chars = characters_of(vecs, perms)
     # every value below the m-th is kept in each sector of its orbit
     below = vals < vals[-1]
-    for orbit in sym.sector_orbits(kind).orbits:
+    for orbit in sym.sector_plan(kind).orbits:
         rep = vals[below & (chars == orbit[0])]
         for c in orbit[1:]:
             assert np.array_equal(vals[below & (chars == c)], rep)
@@ -493,7 +563,7 @@ def test_zero_margin_merges_through_resolves(kind, bench, monkeypatch):
     monkeypatch.setattr(ps.eigen, "_lowest", counted)
     got = np.array([p.value for p in ps.solve_lowest(K, M, m)])
     # some sector ran twice; only one sector per orbit is ever solved
-    assert len(runs) > len(sym.sector_orbits(kind).orbits)
+    assert len(runs) > len(sym.sector_plan(kind).orbits)
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
 
 
@@ -518,7 +588,7 @@ def test_first_asks_solve_each_representative_once(kind, r, bench,
     monkeypatch.setattr(ps.eigen, "_lowest", counted)
     pairs = ps.solve_lowest(K, M, 200, seed=1)
     assert runs == [s.basis.shape[1] for s in sym.split(K, M)]
-    assert len(runs) == len(sym.sector_orbits(kind).orbits)
+    assert len(runs) == len(sym.sector_plan(kind).orbits)
     assert max(ps.residual(K, M, p) for p in pairs) <= 1e-9
 
 
@@ -560,7 +630,7 @@ def check_averaged_edit_is_solved_whole(bench, kind, r, images):
     A._mesh = mesh
     assert all(sym.is_invariant(A, p) for p in images)
     assert not all(sym.is_invariant(A, sym.dof_permutation(mesh, g))
-                   for g in sym.group_generators(kind))
+                   for g in group_generators(kind))
     assert sym.split(A, M) is None
     pairs = ps.solve_lowest(A, M, 10, seed=0)
     assert max(ps.residual(A, M, p) for p in pairs) <= 1e-9
@@ -573,7 +643,7 @@ def test_h_invariant_but_not_n_invariant_pencils_are_solved_whole(bench):
     kind = PolyhedronKind.OCTAHEDRON
     mesh = bench.mesh(kind, 8)
     images = [np.arange(mesh.dof_count)]
-    for g in sym.sector_generators(kind):
+    for g in sector_generators(kind):
         p = sym.dof_permutation(mesh, g)
         images += [p[h] for h in images]
     check_averaged_edit_is_solved_whole(bench, kind, 8, images)
@@ -589,15 +659,15 @@ def test_n_invariant_but_not_g_invariant_pencils_are_solved_whole(kind,
     # label permutations, 12 of 24) contain H and still permute the three
     # nontrivial sectors transitively, but are not the whole group
     group = sym.label_group(kind)
-    normalizer = sym.sector_orbits(kind).normalizer
+    normal = normalizer(kind)
     if kind is PolyhedronKind.TETRAHEDRON:
-        assert len(normalizer) == len(group)
+        assert len(normal) == len(group)
         inversions = [sum(a > b for a, b in itertools.combinations(g, 2))
                       for g in group]
         subgroup = [g for g, n in zip(group, inversions) if n % 2 == 0]
-        assert span(sym.sector_generators(kind), group[0]) <= set(subgroup)
+        assert span(sector_generators(kind), group[0]) <= set(subgroup)
     else:
-        subgroup = normalizer
+        subgroup = normal
     assert len(subgroup) < len(group)
     assert all(compose(a, b) in subgroup for a in subgroup for b in subgroup)
     mesh = bench.mesh(kind, 4)
