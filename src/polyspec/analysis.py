@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,25 +170,16 @@ def remainder_series(series: CountingSeries, tmax: float,
     return RemainderTable(t=t, n=n, d=d, a=a, g=g)
 
 
-# kind -> (bound, lines, values) of the largest exact_spectrum read so far
-_SPECTRA: dict = {}
-
-
-def _spectrum_table(kind: PolyhedronKind, top: float):
+@lru_cache(maxsize=None)
+def _spectrum_table(kind: PolyhedronKind, bound: float):
     """Lines of exact_spectrum(kind, bound) and their float values.
 
-    bound doubles from 1 until it reaches top, capped at LATTICE_LIMIT, so a
-    column of values costs O(log(largest value)) spectrum builds.
+    classify passes powers of two capped at LATTICE_LIMIT, so a column of
+    values costs O(log(largest value)) builds and the cache holds at most 17
+    tables per kind; callers only read them.
     """
-    table = _SPECTRA.get(kind)
-    if table is None or table[0] < top:
-        bound = table[0] if table else 1.0
-        while bound < top:
-            bound = min(2.0 * bound, LATTICE_LIMIT)
-        lines = exact_spectrum(kind, bound)
-        table = (bound, lines, np.array([float(sl.value) for sl in lines]))
-        _SPECTRA[kind] = table
-    return table[1], table[2]
+    lines = exact_spectrum(kind, bound)
+    return lines, np.array([float(sl.value) for sl in lines])
 
 
 @dataclass(frozen=True)
@@ -218,10 +210,11 @@ def classify(normalized_lambda: float, kind: PolyhedronKind,
             f"normalized eigenvalue {normalized_lambda:g} with tol {tol:g} "
             f"is out of range: value + tol + 1 must be at most "
             f"{LATTICE_LIMIT:g}")
-    lines, values = _spectrum_table(kind, top)
-    # a line within tol lies below top, so it is in this table as in
-    # exact_spectrum(kind, top); values is sorted and holds 0, and of two
-    # equally near neighbours argmin keeps the lower one
+    lines, values = _spectrum_table(
+        kind, min(1 << (math.ceil(top) - 1).bit_length(), LATTICE_LIMIT))
+    # the bound is the least power of two >= top, so every line within tol,
+    # which lies below top, is in the table; values is sorted and holds 0,
+    # and of two equally near neighbours argmin keeps the lower one
     i = int(np.searchsorted(values, normalized_lambda))
     lo = max(i - 1, 0)
     line = lines[lo + int(np.argmin(np.abs(values[lo:i + 1]

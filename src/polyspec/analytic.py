@@ -53,6 +53,9 @@ class SymmetryType(enum.Enum):
     skew-symmetric under every reflection).  The two-character types apply to
     the octahedron (first sign: in-face reflections, second: face-to-face) and
     the cube (first: diagonal reflections, second: straight reflections).
+    A type is a character of the reflection group: its two mirror signs fix
+    the terms, the waveform, the cube's parity rule and which nongeneric
+    orbits are excluded (see _terms).
     """
 
     ONE_PLUS = "1+"
@@ -76,6 +79,8 @@ class SymmetryType(enum.Enum):
 # family the face-to-face ones.  On the cube the two families swap: the first
 # character is the diagonal family (edge lines and face diagonals), the second
 # the straight family (face bisectors), so its pair is read reversed.
+# _mirror_signs is the only reader; the signs drive the character sum of
+# _terms and the fold signs of evaluate and mirror_lines.
 _TYPE_SIGNS = {
     SymmetryType.ONE_PLUS: (1, 1),
     SymmetryType.ONE_MINUS: (-1, -1),
@@ -84,6 +89,12 @@ _TYPE_SIGNS = {
     SymmetryType.PM: (1, -1),
     SymmetryType.MP: (-1, 1),
 }
+
+
+def _mirror_signs(kind: PolyhedronKind, sym_type: SymmetryType) -> tuple:
+    """(bisector sign, edge sign) of a type, read reversed on the cube."""
+    signs = _TYPE_SIGNS[sym_type]
+    return signs[::-1] if kind is PolyhedronKind.CUBE else signs
 
 
 def _admitted_types(kind: PolyhedronKind) -> tuple:
@@ -231,16 +242,16 @@ def exact_spectrum(kind: PolyhedronKind, nmax: float):
         if m <= third and m % 3:
             lines.append(SpectrumLine(Fraction(4 * m, 3), 1, "third",
                                       (2 * k, 2 * j)))
-    lines.sort(key=lambda sl: sl.value)
+    # 3 * value is an integer, and ints compare far faster than Fractions
+    lines.sort(key=lambda sl: 3 * sl.value.numerator // sl.value.denominator)
     return lines
 
 
 def exact_tetra_eigenvalues(nmax: float) -> np.ndarray:
     """Raw tetrahedron eigenvalues (with multiplicity) up to normalized nmax."""
-    vals = []
-    for line in exact_spectrum(PolyhedronKind.TETRAHEDRON, nmax):
-        vals.extend([float(line.value)] * line.multiplicity)
-    return np.array(vals) * TRIANGLE_NORMALIZER
+    lines = exact_spectrum(PolyhedronKind.TETRAHEDRON, nmax)
+    return np.repeat([float(sl.value) for sl in lines],
+                     [sl.multiplicity for sl in lines]) * TRIANGLE_NORMALIZER
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +264,8 @@ class TrigEigenfunction:
 
     coeffs are integer coefficient pairs in the dual basis (triangle kinds) or
     half-integer frequency numerators (cube); signs the per-term signs;
-    waveform "cos" or "sin".  enlargement_depth 1 marks an octahedron
-    enlargement, which divides the eigenvalue by 3.
+    waveform "cos" or "sin"; the type's two mirror signs fix all three.
+    enlargement_depth 1 marks an octahedron enlargement (eigenvalue / 3).
     """
 
     kind: PolyhedronKind
@@ -284,11 +295,10 @@ class TrigEigenfunction:
     @property
     def frequencies(self) -> np.ndarray:
         """Base-term frequency vectors (cycles per unit length), shape (T, 2)."""
+        c = np.array(self.coeffs, dtype=np.float64)
         if self.kind is PolyhedronKind.CUBE:
-            return np.array([(a / 2.0, b / 2.0) for a, b in self.coeffs])
-        u = np.array(U_VEC)
-        v = np.array(V_VEC)
-        return np.array([a * u + b * v for a, b in self.coeffs])
+            return c / 2.0
+        return c[:, :1] * np.array(U_VEC) + c[:, 1:] * np.array(V_VEC)
 
     @property
     def terms(self):
@@ -296,76 +306,53 @@ class TrigEigenfunction:
         return [(s, self.waveform, tuple(f))
                 for s, f in zip(self.signs, self.frequencies)]
 
-    def _base_signs(self):
-        signs = _TYPE_SIGNS[self.sym_type]
-        return signs[::-1] if self.kind is PolyhedronKind.CUBE else signs
-
     @property
     def bisector_sign(self) -> int:
         """Sign across the bisector-family mirrors (swapped by enlargement)."""
-        bis, edge = self._base_signs()
+        bis, edge = _mirror_signs(self.kind, self.sym_type)
         return edge if self.enlargement_depth % 2 else bis
 
     @property
     def edge_sign(self) -> int:
         """Sign across the edge-family mirrors (swapped by enlargement)."""
-        bis, edge = self._base_signs()
+        bis, edge = _mirror_signs(self.kind, self.sym_type)
         return bis if self.enlargement_depth % 2 else edge
 
 
-def _triangle_terms(sym_type, k, j):
-    if k == 0 and j == 0:
-        if sym_type in (SymmetryType.ONE_PLUS, SymmetryType.PP):
-            return [1, 1, 1], "cos", [(0, 0), (0, 0), (0, 0)]
+def _terms(kind, sym_type, k, j):
+    """(signs, waveform, coeffs) of the type's character sum over (k, j).
+
+    The sum of chi(g) e(g xi) over the frequency lattice's point group pairs
+    g xi with -g xi into a cosine (chi(-1) = 1) or sine (chi(-1) = -1), so it
+    runs over coset representatives of {1, -1}.  Terms +-w xi that coincide
+    merge, w the waveform's sign under -1, and their coefficients are divided
+    by the largest magnitude; None if all of them vanish.
+    """
+    bis, edge = _mirror_signs(kind, sym_type)
+    if kind is PolyhedronKind.CUBE:
+        # xi, sigma xi, tau xi, tau sigma xi: sigma(a, b) = (b, a) and
+        # tau(a, b) = (a, -b) have characters edge and bis, -1 is (sigma tau)^2
+        wave, reps = 1, [((k, j), 1), ((j, k), edge), ((k, -j), bis),
+                         ((j, -k), bis * edge)]
+    else:
+        # R^i xi and R^i sigma xi: the 60 degree turn R(a, b) = (a + b, -a)
+        # has character bis edge and R^3 = -1
+        wave, reps, x, y = bis * edge, [], (k, j), (j, k)
+        for chi in (1, wave, 1):
+            reps += [(x, chi), (y, chi * edge)]
+            x, y = (x[0] + x[1], -x[0]), (y[0] + y[1], -y[0])
+    if k == 0:          # the constant keeps one unit term per coset pair
+        n = len(reps) // 2
+        return ([1] * n, "cos", [(0, 0)] * n) if bis == edge == 1 else None
+    merged = {}
+    for (a, b), chi in reps:
+        key, c = ((-a, -b), wave * chi) if (-a, -b) in merged else ((a, b), chi)
+        merged[key] = merged.get(key, 0) + c
+    peak = max(map(abs, merged.values()))
+    if not peak:
         return None
-    if j == 0:
-        if sym_type in (SymmetryType.ONE_PLUS, SymmetryType.PP):
-            return [1, 1, 1], "cos", [(k, 0), (k, -k), (0, k)]
-        if sym_type is SymmetryType.PM:
-            return [1, -1, -1], "sin", [(k, 0), (0, k), (k, -k)]
-    elif j == k:
-        if sym_type in (SymmetryType.ONE_PLUS, SymmetryType.PP):
-            return [1, 1, 1], "cos", [(k, k), (2 * k, -k), (k, -2 * k)]
-        if sym_type is SymmetryType.MP:
-            return [1, -1, 1], "sin", [(k, k), (2 * k, -k), (k, -2 * k)]
-    else:
-        plus = [(k, j), (k + j, -k), (j, -(k + j))]
-        minus = [(j, k), (k + j, -j), (k, -(k + j))]
-        if sym_type in (SymmetryType.ONE_PLUS, SymmetryType.PP):
-            return [1, 1, 1, 1, 1, 1], "cos", plus + minus
-        if sym_type in (SymmetryType.ONE_MINUS, SymmetryType.MM):
-            return [1, 1, 1, -1, -1, -1], "cos", plus + minus
-        pairs = [(k, j), (j, k), (k + j, -j), (k + j, -k),
-                 (j, -(j + k)), (k, -(k + j))]
-        if sym_type is SymmetryType.PM:
-            return [1, -1, 1, -1, 1, -1], "sin", pairs
-        if sym_type is SymmetryType.MP:
-            # sign pattern pinned by the reflection families and by collapsing
-            # to the three-term j = k form
-            return [1, 1, -1, -1, 1, 1], "sin", pairs
-    return None
-
-
-def _cube_terms(sym_type, k, j):
-    if j == 0:
-        if sym_type is SymmetryType.PP:
-            return [1, 1], "cos", [(k, 0), (0, k)]
-    elif j == k:
-        if sym_type is SymmetryType.PP and k % 2 == 0:
-            return [1, 1], "cos", [(k, k), (k, -k)]
-        if sym_type is SymmetryType.PM and k % 2 == 1:
-            return [1, -1], "cos", [(k, k), (k, -k)]
-    else:
-        quad = [(k, j), (j, k), (k, -j), (j, -k)]
-        signs = {
-            SymmetryType.PP: [1, 1, 1, 1],
-            SymmetryType.MM: [1, -1, -1, 1],
-            SymmetryType.PM: [1, 1, -1, -1],
-            SymmetryType.MP: [1, -1, 1, -1],
-        }.get(sym_type)
-        if signs is not None:
-            return signs, "cos", quad
-    return None
+    return ([c // peak for c in merged.values()],
+            "sin" if wave < 0 else "cos", list(merged))
 
 
 def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
@@ -373,8 +360,11 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
     """Construct the eigenfunction of one admissible (kind, type, orbit).
 
     Orbits are given as (k, j) with k >= j >= 0; k > j > 0 is the generic
-    case, j = 0 and j = k the two nongeneric ones.  Raises
-    InadmissibleOrbitError naming the violated rule otherwise.
+    case, j = 0 and j = k the two nongeneric ones.  The type's two mirror
+    signs fix the terms and waveform, the cube's parity rule (k and j both
+    even iff the signs agree, else both odd) and the nongeneric exclusions
+    (orbits whose character sum vanishes).  Raises InadmissibleOrbitError
+    naming the violated rule otherwise.
     """
     if any(x % 1 != 0 for x in orbit[:2]):      # nan for nan and inf too
         raise InadmissibleOrbitError(
@@ -388,29 +378,21 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
         raise InadmissibleOrbitError(
             f"{kind.value} admits types "
             f"{'/'.join(t.value for t in types)}, not {sym_type.value}")
-    if kind is PolyhedronKind.CUBE:
-        if sym_type in (SymmetryType.PP, SymmetryType.MM):
-            if k % 2 or j % 2:
-                raise InadmissibleOrbitError(
-                    f"{sym_type.value} needs k, j both even, got ({k}, {j})")
-        else:
-            if k % 2 == 0 or j % 2 == 0:
-                raise InadmissibleOrbitError(
-                    f"{sym_type.value} needs k, j both odd, got ({k}, {j})")
-        made = _cube_terms(sym_type, k, j)
-        if made is None:
+    cube = kind is PolyhedronKind.CUBE
+    if cube:
+        bis, edge = _mirror_signs(kind, sym_type)
+        if not k % 2 == j % 2 == (bis != edge):
             raise InadmissibleOrbitError(
-                f"nongeneric cube orbit ({k}, {j}) has no {sym_type.value} "
-                "eigenfunction")
-    else:
-        if k % 2 or j % 2:
-            raise InadmissibleOrbitError(
-                f"triangle-faced orbits need k, j both even, got ({k}, {j})")
-        made = _triangle_terms(sym_type, k, j)
-        if made is None:
-            raise InadmissibleOrbitError(
-                f"nongeneric orbit ({k}, {j}) has no {sym_type.value} "
-                "eigenfunction")
+                f"{sym_type.value} needs k, j both "
+                f"{('even', 'odd')[bis != edge]}, got ({k}, {j})")
+    elif k % 2 or j % 2:
+        raise InadmissibleOrbitError(
+            f"triangle-faced orbits need k, j both even, got ({k}, {j})")
+    made = _terms(kind, sym_type, k, j)
+    if made is None:
+        raise InadmissibleOrbitError(
+            f"nongeneric {'cube ' if cube else ''}orbit ({k}, {j}) has no "
+            f"{sym_type.value} eigenfunction")
     signs, waveform, coeffs = made
     return TrigEigenfunction(kind=kind, sym_type=sym_type, orbit=(k, j),
                              signs=tuple(signs), waveform=waveform,

@@ -309,6 +309,8 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
         conjugate sectors; the others are never solved).  Runs count in
         sector order, up to and including the one that failed, also when
         worker processes ran them at once.
+    DimensionTooLargeError
+        If m leaves a pencil or sector above 2000 DOFs to the dense path.
     """
     n = K.shape[0]
     if not 1 <= m <= n:
@@ -316,12 +318,17 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     if not (np.isfinite(tol) and tol >= 1e-12):
         raise ValueError(f"tol must be finite and >= 1e-12, got {tol}")
     sectors = symmetry.split(K, M)
-    if sectors is None:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        vals, vecs, applications = _lowest(K, M, m, v0, maxiter)
-    else:
-        vals, vecs, applications = _lowest_by_sector(sectors, n, m, seed,
-                                                     maxiter)
+    try:
+        if sectors is None:
+            v0 = np.random.default_rng(seed).standard_normal(n)
+            vals, vecs, applications = _lowest(K, M, m, v0, maxiter)
+        else:
+            vals, vecs, applications = _lowest_by_sector(sectors, n, m, seed,
+                                                         maxiter)
+    except DimensionTooLargeError as exc:
+        raise DimensionTooLargeError(
+            f"{m} of {n} eigenpairs need a dense solve, which is limited to "
+            f"{_DENSE_GUARD} DOFs; ask for fewer pairs") from exc
     pairs = _postprocess(vals, vecs, M, tol)
     worst = max(residual(K, M, p) for p in pairs)
     if worst > tol:

@@ -255,6 +255,121 @@ def test_inadmissible_orbits_raise(kind, sym, orbit):
         ps.build_trig_eigenfunction(kind, sym, orbit)
 
 
+def _mirror_pair(sym_type):
+    """(first, second) sign of a type, read from its name: "1+" is "++"."""
+    name = sym_type.value
+    return tuple(1 if c == "+" else -1
+                 for c in (name[1] * 2 if name[0] == "1" else name))
+
+
+def _character_sum(kind, sym_type, orbit):
+    """{g xi: sum of chi(g)} over the whole point group of the frequencies.
+
+    The group is generated from two mirrors with their characters.  Square
+    lattice: the diagonal mirror (b, a) carries the first sign, the straight
+    mirror (a, -b) the second.  Hexagonal lattice in the dual basis: the
+    bisector mirror (a + b, -b), which fixes the short vector (1, 0),
+    carries the first sign, the edge mirror (b, a), which fixes the long
+    vector (1, 1), the second.
+    """
+    first, second = _mirror_pair(sym_type)
+    swap = np.array([[0, 1], [1, 0]])
+    if kind is PolyhedronKind.CUBE:
+        gens = [(swap, first), (np.array([[1, 0], [0, -1]]), second)]
+    else:
+        gens = [(np.array([[1, 1], [0, -1]]), first), (swap, second)]
+    group = {(1, 0, 0, 1): 1}
+    todo = [np.eye(2, dtype=int)]
+    while todo:
+        g = todo.pop()
+        for h, chi in gens:
+            hg = h @ g
+            key, value = tuple(hg.ravel()), group[tuple(g.ravel())] * chi
+            if key not in group:
+                group[key] = value
+                todo.append(hg)
+            assert group[key] == value          # chi is a character
+    assert len(group) == (8 if kind is PolyhedronKind.CUBE else 12)
+    out = {}
+    for key, chi in group.items():
+        image = tuple(np.array(key).reshape(2, 2) @ orbit)
+        out[image] = out.get(image, 0) + chi
+    return {xi: c for xi, c in out.items() if c}
+
+
+def _exponential_sum(f):
+    """{xi: coefficient} of f written as a sum of e(xi . x), times 2 (or 2i)."""
+    w = -1 if f.waveform == "sin" else 1
+    out = {}
+    for s, (a, b) in zip(f.signs, f.coeffs):
+        out[a, b] = out.get((a, b), 0) + s
+        out[-a, -b] = out.get((-a, -b), 0) + w * s
+    return {xi: c for xi, c in out.items() if c}
+
+
+@pytest.mark.parametrize("kind", list(PolyhedronKind))
+def test_terms_are_the_character_sum_over_the_point_group(kind):
+    square = kind is PolyhedronKind.CUBE
+    checked = 0
+    for t in ps.analytic._admitted_types(kind):
+        first, second = _mirror_pair(t)
+        parity = int(first != second) if square else 0
+        for k in range(9):
+            for j in range(k + 1):
+                if k % 2 != parity or j % 2 != parity or \
+                        k * k + j * j + (0 if square else k * j) > 60:
+                    continue
+                want = _character_sum(kind, t, (k, j))
+                if not want:
+                    with pytest.raises(ps.InadmissibleOrbitError):
+                        ps.build_trig_eigenfunction(kind, t, (k, j))
+                    continue
+                f = ps.build_trig_eigenfunction(kind, t, (k, j))
+                got = _exponential_sum(f)
+                assert got.keys() == want.keys()
+                ratio = Fraction(want[k, j], got[k, j])
+                assert ratio > 0
+                assert all(want[xi] == ratio * got[xi] for xi in want)
+                assert set(map(abs, f.signs)) == {1}
+                checked += 1
+    assert checked > 5
+
+
+def test_readme_example_terms():
+    f = ps.build_trig_eigenfunction(PolyhedronKind.OCTAHEDRON, ST.PM, (2, 0))
+    assert (list(f.signs), f.waveform, list(f.coeffs)) == \
+        ([1, -1, -1], "sin", [(2, 0), (0, 2), (2, -2)])
+
+
+def test_cube_parity_follows_the_mirror_signs():
+    # k and j are both even iff the two mirror signs agree, else both odd
+    for t in (ST.PP, ST.MM, ST.PM, ST.MP):
+        odd = t in (ST.PM, ST.MP)
+        for k in range(1, 8):
+            for j in range(1, k):
+                if k % 2 == j % 2 == odd:
+                    ps.build_trig_eigenfunction(PolyhedronKind.CUBE, t, (k, j))
+                else:
+                    with pytest.raises(ps.InadmissibleOrbitError,
+                                       match="odd" if odd else "even"):
+                        ps.build_trig_eigenfunction(PolyhedronKind.CUBE, t,
+                                                    (k, j))
+
+
+def test_frequencies_and_tetra_eigenvalues_equal_their_loops():
+    u, v = np.array(ps.analytic.U_VEC), np.array(ps.analytic.V_VEC)
+    for f in all_functions(nmax=200):
+        if f.kind is PolyhedronKind.CUBE:
+            want = [(a / 2.0, b / 2.0) for a, b in f.coeffs]
+        else:
+            want = [a * u + b * v for a, b in f.coeffs]
+        assert np.array_equal(f.frequencies, np.array(want))
+    lines = ps.exact_spectrum(PolyhedronKind.TETRAHEDRON, 5000)
+    want = [float(sl.value) for sl in lines for _ in range(sl.multiplicity)]
+    assert np.array_equal(ps.exact_tetra_eigenvalues(5000),
+                          np.array(want) * ps.analytic.TRIANGLE_NORMALIZER)
+
+
 def test_per_term_eigen_relation():
     for f in all_functions(with_enlarged=True):
         lam = f.lambda_value * 3 ** f.enlargement_depth

@@ -144,6 +144,17 @@ def test_lattice_bound_above_limit_exits_1(tmp_path, capsys, args):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_solve_beyond_the_dense_guard_exits_1(tmp_path, capsys):
+    # cube r=19 has 2168 DOFs; at odd resolution it is solved whole
+    out = tmp_path / "e.csv"
+    assert run(["solve", "--polyhedron", "cube", "--resolution", "19",
+                "--num-eigs", "5000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2168 of 2168 eigenpairs") and "2000" in err
+    assert "dense_solve" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_count_exact_and_fem(tmp_path):
     out = tmp_path / "n.csv"
     assert run(["count", "--polyhedron", "tetrahedron", "--source", "exact",
@@ -254,10 +265,11 @@ def test_classify_column_builds_log_many_spectra(tmp_path, monkeypatch, order):
         builds.append(nmax)
         return original(k, nmax)
 
-    monkeypatch.setattr(analysis, "_SPECTRA", {})
+    analysis._spectrum_table.cache_clear()
     monkeypatch.setattr(analysis, "exact_spectrum", counted)
     assert run(args + ["--out", str(tmp_path / "c.csv")]) == 0
-    # ceil(log2(LATTICE_LIMIT)) + 1 bounds: 1, 2, 4, ..., 65536, 1e5
+    # each bound once, at most ceil(log2(LATTICE_LIMIT)) + 1 of them:
+    # 2, 4, ..., 65536, 1e5
     assert 1 <= len(builds) <= 18
     if order == "ascending":
         assert builds[-1] == analysis.LATTICE_LIMIT

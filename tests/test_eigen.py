@@ -67,6 +67,24 @@ def test_dense_guard():
         ps.dense_solve(sparse.eye(n, format="csr"), sparse.eye(n, format="csr"))
 
 
+def test_solve_lowest_names_the_request_above_the_dense_guard(monkeypatch):
+    # m >= n - 1 sends the whole pencil (a copy of K has no mesh) to the
+    # dense path, which refuses it before anything is factored
+    mesh = ps.build_mesh(ps.build_net(PolyhedronKind.TETRAHEDRON), 40)
+    K, M = ps.assemble(mesh)
+    n = K.shape[0]
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored before the dense guard")
+
+    monkeypatch.setattr(spla, "splu", no_factor)
+    with pytest.raises(ps.DimensionTooLargeError) as info:
+        ps.solve_lowest(K.copy(), M, n - 1)
+    message = str(info.value)
+    assert f"{n - 1} of {n} eigenpairs" in message and "2000" in message
+    assert "dense_solve" not in message
+
+
 def test_solve_matches_dense_on_tiny_mesh(bench):
     K, M = bench.matrices(PolyhedronKind.TETRAHEDRON, 1)
     dense = ps.dense_solve(K, M)
