@@ -4,12 +4,10 @@ The triangle-faced surfaces lift to the hexagonal torus: eigenvalues are
 (4 pi^2 / 3) N with N = j^2 + k^2 + jk, and the one-dimensional symmetry
 types are finite cosine/sine sums over dual-lattice orbits.  The cube's
 eigenfunctions are cosine sums over the integer lattice with eigenvalue
-pi^2 (j^2 + k^2), k and j of equal parity.  Values anywhere on a net are
-produced by folding the point into the base face in closed form, by the
-alcove reduction of the reflection tiling, and applying the symmetry type's
-sign for the parity of the fold; the octahedron enlargement composes one
-extra fold into a half-face with a sqrt(3) contraction, scaling the
-eigenvalue by 1/3.
+pi^2 (j^2 + k^2), k and j of equal parity.  Each eigenfunction lifts to a
+periodic trigonometric polynomial on the plane, so its value anywhere on a
+net is that polynomial summed at the point; the octahedron enlargement first
+maps the point by a sqrt(3) similarity, scaling the eigenvalue by 1/3.
 """
 
 from __future__ import annotations
@@ -18,14 +16,14 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (InadmissibleOrbitError, NotOctahedronError,
                      NotOneDimensionalTypeError, OutOfDomainError)
 from .net import (SQRT3, PolyhedronKind, build_net, face_containing,
-                  lattice_to_xy, xy_to_lattice)
+                  lattice_to_xy)
 
 # dual-lattice generators of the hexagonal torus: |u|^2 = |v|^2 = 1/3, u.v = 1/6
 U_VEC = (0.5, SQRT3 / 6.0)
@@ -80,7 +78,7 @@ class SymmetryType(enum.Enum):
 # character is the diagonal family (edge lines and face diagonals), the second
 # the straight family (face bisectors), so its pair is read reversed.
 # _mirror_signs is the only reader; the signs drive the character sum of
-# _terms and the fold signs of evaluate and mirror_lines.
+# _terms and the signs of mirror_lines.
 _TYPE_SIGNS = {
     SymmetryType.ONE_PLUS: (1, 1),
     SymmetryType.ONE_MINUS: (-1, -1),
@@ -292,17 +290,24 @@ class TrigEigenfunction:
         return (normalizer(self.kind) * self.norm_value
                 / 3 ** self.enlargement_depth)
 
-    @property
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        """Base-term frequency vectors (cycles per unit length), shape (T, 2)."""
+        """Base-term frequency vectors (cycles per unit length), shape (T, 2).
+
+        Built once, read-only; an enlarged function keeps them, and evaluate
+        maps its points by the enlargement similarity instead.
+        """
         c = np.array(self.coeffs, dtype=np.float64)
         if self.kind is PolyhedronKind.CUBE:
-            return c / 2.0
-        return c[:, :1] * np.array(U_VEC) + c[:, 1:] * np.array(V_VEC)
+            freqs = c / 2.0
+        else:
+            freqs = c[:, :1] * np.array(U_VEC) + c[:, 1:] * np.array(V_VEC)
+        freqs.flags.writeable = False
+        return freqs
 
     @property
     def terms(self):
-        """Per-term view: list of (sign, waveform, frequency vector)."""
+        """Per-term view: list of (sign, waveform, base frequency vector)."""
         return [(s, self.waveform, tuple(f))
                 for s, f in zip(self.signs, self.frequencies)]
 
@@ -402,9 +407,9 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
 def enlarge(f: TrigEigenfunction) -> TrigEigenfunction:
     """Octahedron enlargement: same trig data, eigenvalue divided by 3.
 
-    Evaluation of the result composes the sqrt(3) similarity from a half-face
-    onto a sixth-face with the base function's reflection rules (the two
-    mirror families swap their signs).
+    Evaluation of the result maps the point by the sqrt(3) similarity that
+    takes the face's edge mirrors onto the base function's bisector mirrors,
+    so the two mirror families swap their signs.
     """
     if f.kind is not PolyhedronKind.OCTAHEDRON:
         raise NotOctahedronError("enlargement is defined on the octahedron only")
@@ -416,48 +421,7 @@ def enlarge(f: TrigEigenfunction) -> TrigEigenfunction:
 
 
 # ---------------------------------------------------------------------------
-# evaluation by folding
-
-
-def _fold_triangular(x, y):
-    """Fold cartesian points into the base cell (0,0),(1,0),(1/2,sqrt3/2).
-
-    Returns lattice coordinates (sigma, tau) in the cell and the parity of
-    the reflections that map each point there, by the alcove reduction of
-    the affine Weyl group A2 (Humphreys 1990, ch. 4): p = ((2s+t)/3, (t-s)/3,
-    -(s+2t)/3) has differences (s, t), and the reflections permute its
-    entries and shift them by integers of zero sum.  The fractional parts of
-    p, sorted as lo, mid, hi and summing to k, give the point as gaps k and
-    k+1 of (hi-mid, mid-lo, 1-hi+lo).  Shifts and rotations are even.
-    """
-    s, t = xy_to_lattice(x, y)
-    p = np.column_stack([(2.0 * s + t) / 3.0, (t - s) / 3.0,
-                         -(s + 2.0 * t) / 3.0])
-    p %= 1.0
-    # comparisons, not a cast: a nan point keeps k = 0 and folds to nan
-    total = p.sum(axis=1)
-    k = (total > 0.5).astype(np.int64) + (total > 1.5)
-    parity = ((p[:, 0] < p[:, 1]).astype(np.int64) + (p[:, 0] < p[:, 2])
-              + (p[:, 1] < p[:, 2]))
-    p.sort(axis=1)
-    lo, mid, hi = p.T
-    gaps = np.column_stack([hi - mid, mid - lo, 1.0 - hi + lo])
-    rows = np.arange(len(k))
-    return gaps[rows, k], gaps[rows, (k + 1) % 3], parity
-
-
-def _fold_axis(x):
-    # tent-fold onto [-1/2, 1/2] with mirrors at half-integers
-    k = np.floor(x + 0.5)
-    z = (x + 0.5) - 2.0 * np.floor((x + 0.5) / 2.0)
-    z = np.where(z > 1.0, 2.0 - z, z)
-    return z - 0.5, k.astype(np.int64)
-
-
-def _trig_sum(f: TrigEigenfunction, pts):
-    phases = 2.0 * math.pi * (pts @ f.frequencies.T)
-    wave = np.sin(phases) if f.waveform == "sin" else np.cos(phases)
-    return wave @ np.array(f.signs, dtype=np.float64)
+# evaluation
 
 
 def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
@@ -465,9 +429,11 @@ def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
 
     points may be a single (x, y) pair or an (n, 2) array.  With
     check_domain=True (default) points outside the net raise
-    OutOfDomainError.  With check_domain=False every point folds by the
-    tiling's reflections, but past lattice coordinates |s|, |t| of about
-    2^52 a float has no fractional digits left to place it in its cell.
+    OutOfDomainError.  With check_domain=False the polynomial is summed at
+    any point, but its phases round more coarsely far from the net: for the
+    icosahedron's 1+ (8, 4), whose values reach 6, a point 1e3, 1e6 or 1e9
+    away differs from its lattice translate near the net by about 2e-11,
+    2e-8 or 2e-5.
     """
     pts = np.asarray(points, dtype=np.float64)
     single = pts.ndim == 1
@@ -477,27 +443,15 @@ def evaluate(f: TrigEigenfunction, points, check_domain: bool = True):
         for x, y in pts:
             if face_containing(net, float(x), float(y)) is None:
                 raise OutOfDomainError(f"point ({x}, {y}) is not on the net")
-    ox, oy = net.formula_origin
-    x, y = pts[:, 0] - ox, pts[:, 1] - oy
-
-    if f.kind is PolyhedronKind.CUBE:
-        fx, kx = _fold_axis(x)
-        fy, ky = _fold_axis(y)
-        sign = np.where((kx + ky) % 2 == 0, 1.0, float(f.edge_sign))
-    else:
-        s, t, parity = _fold_triangular(x, y)
-        sign = np.where(parity % 2 == 0, 1.0, float(f.edge_sign))
-        if f.enlargement_depth:
-            swap = t > s
-            sign = np.where(swap, sign * f.bisector_sign, sign)
-            s, t = (np.where(swap, t, s),
-                    np.where(swap, s, t))
-        fx, fy = lattice_to_xy(s, t)
-        if f.enlargement_depth:
-            # similarity half-face -> sixth-face: rotate 30 deg, shrink sqrt 3
-            fx, fy = (fx * 0.5 - fy / (2.0 * SQRT3),
-                      fx / (2.0 * SQRT3) + fy * 0.5)
-    vals = sign * _trig_sum(f, np.column_stack([fx, fy]))
+    pts = pts - net.formula_origin
+    if f.enlargement_depth:
+        # the similarity onto the base function: turn 30 deg, shrink sqrt 3
+        x, y = pts.T
+        pts = np.column_stack([x * 0.5 - y / (2.0 * SQRT3),
+                               x / (2.0 * SQRT3) + y * 0.5])
+    phases = 2.0 * math.pi * (pts @ f.frequencies.T)
+    wave = np.sin(phases) if f.waveform == "sin" else np.cos(phases)
+    vals = wave @ np.array(f.signs, dtype=np.float64)
     return float(vals[0]) if single else vals
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, analytic, eigen, fem
 from .errors import PolyspecError
-from .mesh import build_mesh, expected_planar_count, interpolate, locate
+from .mesh import build_mesh, expected_planar_count, interpolate
 from .net import PolyhedronKind, build_net
 
 
@@ -177,7 +177,8 @@ def _cmd_count(args) -> int:
         if kind is not PolyhedronKind.TETRAHEDRON:
             raise PolyspecError("exact counting series exist for the "
                                 "tetrahedron only")
-        nmax_needed = analysis.normalize(args.tmax ** 2, kind) + 8
+        # tmax * tmax overflows to inf, where tmax ** 2 would raise
+        nmax_needed = analysis.normalize(args.tmax * args.tmax, kind) + 8
         nmax = min(nmax_needed, analytic.LATTICE_LIMIT)
         nmax = max(nmax, analysis.normalize(args.tmax, kind) + 1)
         # a non-finite or too large bound stays a float, so exact_spectrum

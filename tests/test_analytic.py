@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import polyspec as ps
 from polyspec import PolyhedronKind
 from polyspec.analytic import SymmetryType as ST
-from polyspec.net import lattice_to_xy, xy_to_lattice
 
 SQRT3 = math.sqrt(3.0)
 ND = 4 * math.pi ** 2 / 3
@@ -356,6 +355,14 @@ def test_cube_parity_follows_the_mirror_signs():
                                                     (k, j))
 
 
+def test_frequencies_are_built_once_and_read_only():
+    f = ps.build_trig_eigenfunction(PolyhedronKind.ICOSAHEDRON, ST.ONE_PLUS,
+                                    (4, 2))
+    assert f.frequencies is f.frequencies
+    with pytest.raises(ValueError, match="read-only"):
+        f.frequencies[0, 0] = 1.0
+
+
 def test_frequencies_and_tetra_eigenvalues_equal_their_loops():
     u, v = np.array(ps.analytic.U_VEC), np.array(ps.analytic.V_VEC)
     for f in all_functions(nmax=200):
@@ -392,17 +399,22 @@ def test_waveforms_by_type():
             assert f.waveform == "cos"
 
 
-def test_fold_evaluation_equals_raw_sum_at_depth_zero():
+def test_evaluate_is_the_raw_trigonometric_sum():
     rng = np.random.default_rng(0)
-    for f in all_functions(nmax=28):
+    # the enlargement similarity: turn 30 degrees, shrink by sqrt(3)
+    similarity = np.array([[0.5, -0.5 / SQRT3], [0.5 / SQRT3, 0.5]])
+    for f in all_functions(nmax=28, with_enlarged=True):
         net = ps.build_net(f.kind)
         pts = rng.uniform(-2.0, 4.0, size=(40, 2))
         got = ps.evaluate(f, pts, check_domain=False)
         q = pts - np.array(net.formula_origin)
+        if f.enlargement_depth:
+            q = q @ similarity.T
         ph = 2 * math.pi * (q @ f.frequencies.T)
         w = np.sin(ph) if f.waveform == "sin" else np.cos(ph)
         want = w @ np.array(f.signs, float)
-        assert np.abs(got - want).max() < 1e-9
+        tol = 1e-12 * max(1.0, sum(abs(s) for s in f.signs))
+        assert np.abs(got - want).max() < tol
 
 
 def test_half_turn_parity():
@@ -537,51 +549,6 @@ def test_far_points_fold_like_their_lattice_translates(kind, sym_type, orbit,
     for x in (1e6 + 0.25, 1.25 - 999_999):
         far = ps.evaluate(f, (x, 0.3), check_domain=False)
         assert far == pytest.approx(near, abs=1e-7)
-
-
-def _fold_test_points():
-    """Lattice points (s, t): seeded, on walls, at vertices, near walls, far."""
-    rng = np.random.default_rng(14)
-    seeded = rng.uniform([-4.0, -4.0], [10.0, 7.0], size=(2000, 2))
-    free = rng.uniform(-3.0, 6.0, size=300)
-    ints = rng.integers(-5, 9, size=(300, 2)).astype(float)
-    walls = np.concatenate([
-        np.column_stack([ints[:, 0], free]),                # s integer
-        np.column_stack([free, ints[:, 1]]),                # t integer
-        np.column_stack([free, ints[:, 0] - free]),         # s + t integer
-        ints])                                              # vertices
-    off = rng.choice([-1e-13, 1e-13], size=(300, 1))
-    near = np.concatenate([walls[:300] + off * [1.0, 0.0],      # across s = i
-                           walls[300:600] + off * [0.0, 1.0],   # across t = j
-                           walls[600:900] + off * [1.0, 0.0]])  # across s + t
-    far = rng.uniform(-1e6, 1e6, size=(500, 2))
-    far[:4] = [(1e6, 1e6), (-1e6, 1e6), (1e6, -1e6), (-1e6, -1e6)]
-    return np.concatenate([seeded, walls, near, far])
-
-
-def test_fold_lands_in_the_base_cell_by_a_tiling_symmetry():
-    s, t = _fold_test_points().T
-    x, y = lattice_to_xy(s, t)
-    s, t = xy_to_lattice(x, y)              # the point the fold sees
-    sigma, tau, parity = ps.analytic._fold_triangular(x, y)
-    assert np.all(sigma >= -1e-12) and np.all(tau >= -1e-12)
-    assert np.all(sigma + tau <= 1.0 + 1e-12)
-    # the point group of the origin in lattice coordinates: three mirrors
-    # (t = 0, s = 0, s + t = 0) and two rotations
-    a = np.array([[1, 1], [0, -1]])
-    b = np.array([[-1, 0], [1, 1]])
-    c = np.array([[0, -1], [-1, 0]])
-    group = [np.eye(2, dtype=int), a, b, c, a @ b, b @ a]
-    back = np.zeros(s.shape, dtype=bool)
-    scale = np.maximum(1.0, np.maximum(np.abs(s), np.abs(t)))
-    for g in group:
-        gs, gt = g @ np.array([sigma, tau])
-        i, j = s - gs, t - gt
-        ri, rj = np.round(i), np.round(j)
-        close = np.maximum(np.abs(i - ri), np.abs(j - rj)) <= 1e-13 * scale
-        back |= (close & ((ri - rj) % 3 == 0)
-                 & (round(np.linalg.det(g)) == (-1) ** (parity % 2)))
-    assert back.all(), np.column_stack([s, t])[~back][:5]
 
 
 @pytest.mark.parametrize("kind", [PolyhedronKind.TETRAHEDRON,

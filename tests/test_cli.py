@@ -354,6 +354,10 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     (["analytic", "--polyhedron", "cube", "--nmax", "nan"], "finite"),
     (["count", "--polyhedron", "tetrahedron", "--source", "exact",
       "--tmax", "5", "--samples", "1"], "samples must be >= 2"),
+    # tmax squared overflows a float
+    (["count", "--polyhedron", "tetrahedron", "--source", "exact",
+      "--tmax", "1e160", "--samples", "3"],
+     "normalized bound must be finite and at most 100000"),
     # numpy refuses these at once: 8e17 bytes exceed any address space, so
     # no overcommit setting lets the allocation start
     (["count", "--polyhedron", "tetrahedron", "--source", "exact",
@@ -362,7 +366,8 @@ def test_domain_errors_exit_1(tmp_path, capsys):
       "--orbit", "2,0", "--grid", str(10 ** 17)], "allocate"),
 ], ids=["tol_nan", "num_eigs_0", "slice_index_99", "slice_index_negative",
         "slice_samples_1", "eval_grid_1", "orbit_one_number", "nmax_nan",
-        "count_samples_1", "count_samples_huge", "eval_grid_huge"])
+        "count_samples_1", "count_tmax_1e160", "count_samples_huge",
+        "eval_grid_huge"])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, args,
                                              message):
     out = tmp_path / "o.csv"

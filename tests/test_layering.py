@@ -2,7 +2,7 @@
 
 A module uses another polyspec module's public names only, and imports at
 module level only, so every dependency between modules is visible at the top
-of the file that has it.
+of the file that has it; and every name it imports there is used.
 """
 
 import ast
@@ -39,4 +39,22 @@ def test_no_imports_inside_functions():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found, found
+
+
+def test_every_module_level_import_is_used():
+    found = []
+    for name, tree in parsed():
+        if name == "__init__.py":           # imports there are re-exports
+            continue
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{name}:{node.lineno} imports {alias.name} unused"
+                          for alias in node.names
+                          if (alias.asname or alias.name.split(".")[0])
+                          not in used]
     assert not found, found
