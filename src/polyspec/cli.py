@@ -188,6 +188,10 @@ def _cmd_count(args) -> int:
     else:
         mesh = build_mesh(build_net(kind), args.resolution)
         _, _, pairs = _solve_pairs(mesh, args.num_eigs, args.tol, args.seed)
+        if len(pairs) < 2:              # the first pair is the zero one
+            raise PolyspecError("the computed spectrum has no positive "
+                                "eigenvalue; more pairs are needed "
+                                "(--num-eigs)")
         series = analysis.make_counting_series(kind,
                                                [p.value for p in pairs])
     tmax = args.tmax

@@ -10,9 +10,10 @@ element template per resolution, indexed by the face's planar vertex ids.  The
 result is a triangulation of the closed surface with no boundary.
 
 This module owns the face grid and its point index: face_grid lists each
-face's grid points in the frame of its corners 0, 1 and the last, which
-locate shares, and grid_index finds points in planar_lattice; symmetry's
-DOF permutations use both.
+face's grid points in the frame of its corners 0, 1 and the last, the frame
+net.face_containing locates a point in, so locate reads a point's element
+and barycentrics off that one location; grid_index finds points in
+planar_lattice; symmetry's DOF permutations use face_grid and grid_index.
 """
 
 from __future__ import annotations
@@ -187,60 +188,41 @@ def locate(mesh: SurfaceMesh, p) -> tuple[int, np.ndarray]:
     """Find the element containing a planar point and its barycentric coords.
 
     Returns (element index, barycentric coordinates w.r.t. the element's three
-    planar vertices).  A cube cell's element is picked by the side of the
-    cell diagonal that _element_template's quadrant rule chose.  Raises
-    OutOfDomainError if p lies outside the net beyond the 1e-9 tolerance or
-    is not finite.
+    planar vertices), both read off face_containing's face frame scaled by r:
+    the cell (i, j) and the point's offset (fu, fv) in it.  A cube cell's
+    element is picked by the side of the cell diagonal that
+    _element_template's quadrant rule chose.  Raises OutOfDomainError if p
+    lies outside the net beyond face_containing's 1e-9 or is not finite.
     """
     x, y = float(p[0]), float(p[1])
     net = mesh.net
     r = mesh.resolution
-    fi = face_containing(net, x, y)
-    if fi is None:
+    found = face_containing(net, x, y)
+    if found is None:
         raise OutOfDomainError(f"point ({x}, {y}) lies outside the net")
-    # grid coordinates (u, v) in face_grid's frame: p = A + (u*(B-A) +
-    # v*(C-A)) / r with A, B, C the face's corners 0, 1 and the last
-    verts = net.faces[fi].vertices
-    (ax, ay), (bx, by), (cx, cy) = verts[0], verts[1], verts[-1]
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    u = ((x - ax) * (cy - ay) - (y - ay) * (cx - ax)) / det
-    v = ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / det
+    fi, u, v = found
+    # grid coordinates in face_grid's frame, clamped onto the face
     u = min(max(u * r, 0.0), float(r))
     v = min(max(v * r, 0.0), float(r))
+    cube = net.kind is PolyhedronKind.CUBE
     i = min(math.floor(u), r - 1)
-    j = min(math.floor(v), r - 1)
-    # every face holds the same number of elements, in face order
+    j = min(math.floor(v), r - 1 if cube else r - 1 - i)
+    fu, fv = u - i, v - j
+    # rising cube cells are split along 00 -> 11 by the quadrant rule; the
+    # last cell of a triangle row has no down element
+    rising = cube and (i < r / 2) == (j < r / 2)
+    second = fv > fu if rising else fu + fv > 1.0 and (cube or i + j < r - 1)
+    # every face holds the same number of elements, in face order; a cube
+    # row holds 2r, triangle row i holds 2(r - i) - 1
     start = fi * (len(mesh.elements) // len(net.faces))
-    if net.kind is PolyhedronKind.CUBE:
-        # the cell's diagonal, by _element_template's quadrant rule
-        fu, fv = u - i, v - j
-        second = fv > fu if (i < r / 2) == (j < r / 2) else fu + fv > 1.0
-        eidx = start + 2 * (i * r + j) + int(second)
+    row = 2 * r * i if cube else 2 * r * i - i * i
+    eidx = start + row + 2 * j + second
+    if rising:
+        bary = (1 - fv, fu, fv - fu) if second else (1 - fu, fu - fv, fv)
+    elif second:
+        bary = (1 - fv, fu + fv - 1, 1 - fu)
     else:
-        if i + j > r - 1:
-            over = i + j - (r - 1)
-            if u - i >= v - j:
-                i -= over
-            else:
-                j -= over
-        fu, fv = u - i, v - j
-        if fu + fv > 1.0 and i + j < r - 1:
-            down = 1
-        else:
-            down = 0
-        # element offset within the face: row i holds 2*(r-i)-1 elements
-        row_off = 2 * r * i - i * i
-        eidx = start + row_off + 2 * j + down
-    (x0, y0), (x1, y1), (x2, y2) = \
-        mesh.planar_vertices[mesh.elements[eidx]].tolist()
-    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
-    l2 = ((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)) / det
-    bary = np.array([1.0 - (l1 + l2), l1, l2])
-    if bary.min() < -1e-7:
-        raise OutOfDomainError(
-            f"point ({x}, {y}) is outside element {eidx} "
-            f"(barycentric {bary})")
+        bary = (1 - fu - fv, fu, fv)
     bary = np.clip(bary, 0.0, None)
     bary /= bary.sum()
     return int(eidx), bary

@@ -17,7 +17,8 @@ and by Gauss-Bonnet each of the V equal cone angles is 2 pi (V - 2) / V.
 
 This module owns the lattice frame and point location: lattice_to_xy and
 xy_to_lattice convert triangular-lattice coordinates to cartesian and back,
-and face_containing finds the face under a planar point.
+and face_containing finds the face under a planar point, with one 1e-9
+tolerance, and the point's coordinates in that face's corner frame.
 """
 
 from __future__ import annotations
@@ -306,28 +307,29 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
 
 
 def face_containing(net: PolyhedronNet, x: float, y: float):
-    """Face index containing (x, y) up to 1e-9, or None (also if not finite)."""
+    """(face, u, v) of the face under (x, y) up to 1e-9, or None.
+
+    (x, y) = A + u (B - A) + v (C - A) for A, B, C the face's corners 0, 1
+    and the last, mesh.face_grid's frame; min(u, v, 1 - u - v) on triangles,
+    or min(u, v, 1 - u, 1 - v) on squares, is >= -1e-9.  None also if the
+    point is not finite.
+    """
     if not (math.isfinite(x) and math.isfinite(y)):
         return None
     square = net.kind is PolyhedronKind.CUBE
     s, t = (x, y) if square else xy_to_lattice(x, y)
-    tol = _LOCATE_TOL
     for da in (0, -1, 1):
         for db in (0, -1, 1):
             a = math.floor(s) + da
             b = math.floor(t) + db
             sig, tau = s - a, t - b
-            for cell in ((a, b),) if square else ((0, a, b), (1, a, b)):
-                if square:
-                    inside = -tol <= sig <= 1 + tol and -tol <= tau <= 1 + tol
-                elif cell[0] == 0:
-                    inside = (sig >= -tol and tau >= -tol
-                              and sig + tau <= 1 + tol)
-                else:
-                    inside = (sig <= 1 + tol and tau <= 1 + tol
-                              and sig + tau >= 1 - tol)
-                if inside and cell in net._cell_face:
-                    return net._cell_face[cell]
+            # a down cell's corners 0, 1, 2 are (a+1, b), (a+1, b+1), (a, b+1)
+            frames = [((a, b), sig, tau)] if square else [
+                ((0, a, b), sig, tau), ((1, a, b), sig + tau - 1, 1 - sig)]
+            for cell, u, v in frames:
+                far = min(1 - u, 1 - v) if square else 1 - u - v
+                if min(u, v, far) >= -_LOCATE_TOL and cell in net._cell_face:
+                    return net._cell_face[cell], u, v
     return None
 
 

@@ -105,6 +105,8 @@ def test_counting_series_validation():
         ps.CountingSeries(np.array([1.0, 0.5]), 1.0, 0.5)
     with pytest.raises(ValueError):
         ps.CountingSeries(np.array([5.0, 6.0]), 1.0, 0.5)  # missing zero mode
+    with pytest.raises(ValueError, match="nonempty"):
+        ps.CountingSeries(np.array([]), 1.0, 0.5)
 
 
 def test_remainder_at_zero(tetra_series):
@@ -151,6 +153,11 @@ def test_counting_slope_least_squares():
     ns = np.array([ps.counting(s, t) for t in ts], dtype=float)
     slope = np.polyfit(ts, ns, 1)[0]
     assert abs(slope - SQRT3 / (4 * math.pi)) <= 0.02 * SQRT3 / (4 * math.pi)
+
+
+def test_remainder_series_needs_two_samples(tetra_series):
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        ps.remainder_series(tetra_series, ND, 1)
 
 
 def test_remainder_series_coverage(tetra_series):

@@ -33,6 +33,21 @@ def all_functions(nmax=48, kinds=None, with_enlarged=False):
 # lattice counting
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ST.parse("xx"), "unknown symmetry type"),
+    (lambda: ps.hexagonal_multiplicity(-1), "n must be >= 0"),
+    (lambda: ps.torus_count(-1), "t must be >= 0"),
+    (lambda: ps.exact_spectrum("cube", 10), "unhandled kind"),
+] + [(lambda kind=kind: ps.exact_spectrum(kind, 0), "nmax must be > 0")
+     for kind in PolyhedronKind],
+    ids=["parse_xx", "multiplicity_negative", "torus_negative",
+         "spectrum_kind_string"]
+    + [f"spectrum_{kind.value}_nmax_0" for kind in PolyhedronKind])
+def test_invalid_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_hexagonal_multiplicity_examples():
     assert ps.hexagonal_multiplicity(0) == 1
     assert ps.hexagonal_multiplicity(1) == 3

@@ -336,6 +336,10 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a case's --out OUT_DIR names a directory in the test's tmp_path
+OUT_DIR = "out-dir"
+
+
 @pytest.mark.parametrize("args, message", [
     (["solve", "--polyhedron", "cube", "--resolution", "2", "--num-eigs",
       "3", "--tol", "nan"], "tol must be finite"),
@@ -364,18 +368,39 @@ def test_domain_errors_exit_1(tmp_path, capsys):
       "--tmax", "10", "--samples", str(10 ** 17)], "allocate"),
     (["analytic", "--polyhedron", "cube", "--eval", "--type", "++",
       "--orbit", "2,0", "--grid", str(10 ** 17)], "allocate"),
+    (["analytic", "--polyhedron", "cube", "--eval", "--orbit", "2,0"],
+     "--eval requires --type and --orbit"),
+    (["analytic", "--polyhedron", "cube"], "spectrum mode requires --nmax"),
+    # this file's first line is not an index,lambda,normalized header
+    (["classify", "--in", __file__, "--polyhedron", "cube"],
+     "expected an index,lambda,normalized file"),
+    (["count", "--polyhedron", "cube", "--source", "exact", "--tmax", "5",
+      "--samples", "3"], "for the tetrahedron only"),
+    # one pair is the zero eigenvalue alone
+    (["count", "--polyhedron", "tetrahedron", "--source", "fem",
+      "--resolution", "1", "--num-eigs", "1", "--tmax", "5", "--samples",
+      "3"], "no positive eigenvalue; more pairs are needed (--num-eigs)"),
+    (["analytic", "--polyhedron", "tetrahedron", "--nmax", "10", "--out",
+      OUT_DIR], "Is a directory"),
 ], ids=["tol_nan", "num_eigs_0", "slice_index_99", "slice_index_negative",
         "slice_samples_1", "eval_grid_1", "orbit_one_number", "nmax_nan",
         "count_samples_1", "count_tmax_1e160", "count_samples_huge",
-        "eval_grid_huge"])
+        "eval_grid_huge", "eval_without_type", "analytic_without_nmax",
+        "csv_bad_header", "count_exact_cube", "count_one_pair",
+        "out_is_directory"])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, args,
                                              message):
     out = tmp_path / "o.csv"
-    assert run(args + ["--out", str(out)]) == 1
+    (tmp_path / OUT_DIR).mkdir()
+    args = [str(tmp_path / OUT_DIR) if a == OUT_DIR else a for a in args]
+    if "--out" not in args:
+        args += ["--out", str(out)]
+    assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".polyspec")]
 
 
 def test_atomic_write_preserves_old_file_on_error(tmp_path):

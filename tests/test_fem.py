@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -103,6 +104,17 @@ def test_element_matrices_match_quadrature_oracle(seed):
 def test_degenerate_element_raises():
     with pytest.raises(ps.DegenerateElementError):
         ps.element_matrices([(0, 0), (1, 0), (2, 0)])
+
+
+def test_malformed_elements_raise(bench):
+    with pytest.raises(ValueError, match="expected three planar points"):
+        ps.element_matrices([(0, 0), (1, 0)])
+    with pytest.raises(ps.DegenerateElementError, match="negative orientation"):
+        ps.element_matrices([(0, 0), (0, 1), (1, 0)])     # clockwise
+    mesh = bench.mesh(PolyhedronKind.TETRAHEDRON, 2)
+    flat = dataclasses.replace(mesh, elements=mesh.elements[:, [0, 0, 1]])
+    with pytest.raises(ps.DegenerateElementError, match="degenerate element"):
+        ps.assemble(flat)
 
 
 @pytest.mark.parametrize("kind", KINDS)

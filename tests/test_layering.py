@@ -2,7 +2,8 @@
 
 A module uses another polyspec module's public names only, and imports at
 module level only, so every dependency between modules is visible at the top
-of the file that has it; and every name it imports there is used.
+of the file that has it; every name it imports there is used; and every
+private name it defines at module level is referenced in it.
 """
 
 import ast
@@ -57,4 +58,34 @@ def test_every_module_level_import_is_used():
                           for alias in node.names
                           if (alias.asname or alias.name.split(".")[0])
                           not in used]
+    assert not found, found
+
+
+def bound_names(node):
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def test_every_module_level_private_name_is_referenced():
+    found = []
+    for name, tree in parsed():
+        loads = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Load)} for node in tree.body]
+        for k, node in enumerate(tree.body):
+            # references from the other statements only: a recursive
+            # helper nothing else calls is dead too
+            elsewhere = set().union(*loads[:k], *loads[k + 1:])
+            found += [f"{name}:{node.lineno} defines {bound} unreferenced"
+                      for bound in bound_names(node)
+                      if bound.startswith("_") and not bound.startswith("__")
+                      and bound not in elsewhere]
     assert not found, found

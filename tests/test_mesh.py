@@ -254,6 +254,28 @@ PLAIN_TYPE = {
 }
 
 
+# (0.3, 0) lies on face 0's bottom edge on every kind; on the triangles a
+# point 9e-10 below it is 1.04e-9 below in lattice coordinates
+@pytest.mark.parametrize("kind, r, dy",
+                         [(kind, 256, -5e-10) for kind in KINDS]
+                         + [(PolyhedronKind.CUBE, r, -9e-10)
+                            for r in (128, 256)])
+def test_points_within_1e9_of_the_net_are_located(kind, r, dy):
+    mesh = ps.build_mesh(ps.build_net(kind), r)
+    f = ps.build_trig_eigenfunction(kind, PLAIN_TYPE[kind], (2, 0))
+    vals = np.empty(mesh.dof_count)
+    vals[mesh.dof_of] = ps.evaluate(f, mesh.planar_vertices,
+                                    check_domain=False)
+    _, bary = ps.locate(mesh, (0.3, dy))
+    assert bary.min() >= 0 and abs(bary.sum() - 1) < 1e-12
+    on_edge = ps.interpolate(mesh, vals, (0.3, 0.0))
+    assert abs(ps.interpolate(mesh, vals, (0.3, dy)) - on_edge) < 1e-6
+    for call in (lambda p: ps.locate(mesh, p),
+                 lambda p: ps.interpolate(mesh, vals, p)):
+        with pytest.raises(ps.OutOfDomainError):
+            call((0.3, -2e-9))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", [(math.nan, 0.1), (0.1, math.nan),
                                (math.inf, 0.1), (0.1, -math.inf)],

@@ -122,10 +122,32 @@ def test_face_containing_finds_centroids_and_rejects_non_finite(kind):
     net = ps.build_net(kind)
     for f in net.faces:
         x, y = np.mean(f.vertices, axis=0)
-        assert face_containing(net, x, y) == f.index
+        assert face_containing(net, x, y)[0] == f.index
     for x, y in [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1),
                  (0.1, -math.inf)]:
         assert face_containing(net, x, y) is None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_face_containing_frame_reproduces_the_point(kind):
+    net = ps.build_net(kind)
+    rng = np.random.default_rng(7)
+    for f in net.faces:
+        for w in rng.dirichlet(np.ones(len(f.vertices)), size=50):
+            p = w @ np.array(f.vertices)
+            fi, u, v = face_containing(net, *p)
+            verts = np.array(net.faces[fi].vertices)
+            a, b, c = verts[0], verts[1], verts[-1]
+            assert np.linalg.norm(a + u * (b - a) + v * (c - a) - p) < 1e-12
+
+
+def test_glue_map_rejects_bad_arguments():
+    net = ps.build_net(PolyhedronKind.CUBE)
+    g = net.identifications[0]
+    with pytest.raises(ValueError, match="outside"):
+        ps.glue_map(net, g.face_a, g.edge_a, 1.5)
+    with pytest.raises(ValueError, match="not an edge of the net"):
+        ps.glue_map(net, len(net.faces), 0, 0.5)
 
 
 def test_interior_edge_raises():
