@@ -172,20 +172,18 @@ def torus_count(t: float) -> int:
 
     Raises ValueError unless 0 <= t / TRIANGLE_NORMALIZER <= LATTICE_LIMIT.
     """
+    return 2 * tetra_count_exact(t) - 1
+
+
+def tetra_count_exact(t: float) -> int:
+    """Exact tetrahedron counting function; raises ValueError as torus_count."""
     if t < 0:
         raise ValueError("t must be >= 0")
     q, k, j = _sweep(int(_check_bound(t, TRIANGLE_NORMALIZER)) + 1)
     # compare the products, not q against t / normalizer: at t = n * normalizer
     # the quotient can round below n
     keep = q * TRIANGLE_NORMALIZER <= t
-    return 2 * int(_orbit_size(k[keep], j[keep]).sum()) - 1
-
-
-def tetra_count_exact(t: float) -> int:
-    """Exact tetrahedron counting function via the torus covering."""
-    nt = torus_count(t)
-    assert nt % 2 == 1
-    return nt // 2 + 1
+    return int(_orbit_size(k[keep], j[keep]).sum())
 
 
 @dataclass(frozen=True)
@@ -211,37 +209,35 @@ def exact_spectrum(kind: PolyhedronKind, nmax: float):
     Each witness is the smallest admissible (k, j) with k >= j >= 0.
     Raises ValueError unless 0 < nmax <= LATTICE_LIMIT.
     """
+    if not isinstance(kind, PolyhedronKind):
+        raise ValueError(f"unhandled kind {kind}")
     if nmax <= 0:
         raise ValueError("nmax must be > 0")
     _check_bound(nmax)
+    square = kind is PolyhedronKind.CUBE
+    octa = kind is PolyhedronKind.OCTAHEDRON
+    # the octahedron adds n/3 for each value n with 3 not dividing n (else n/3
+    # is itself a value); floor(3 nmax) is exact, so a float nmax rounds no
+    # line in or out
+    q, k, j = _sweep(math.floor(3 * Fraction(nmax) if octa else nmax),
+                     square)
     if kind is PolyhedronKind.TETRAHEDRON:
-        q, k, j = _sweep(math.floor(nmax))
-        mult = np.bincount(q, weights=_orbit_size(k, j)).astype(np.int64)
-        return [SpectrumLine(Fraction(n), int(mult[n]), "hexLattice", w)
-                for n, w in zip(*_first_orbits(q, k, j))]
-    if kind is PolyhedronKind.CUBE:
-        q, k, j = _sweep(math.floor(nmax), square=True)
-        same = (k - j) % 2 == 0
-        return [SpectrumLine(Fraction(n), 1, "squareLattice", w)
-                for n, w in zip(*_first_orbits(q[same], k[same], j[same]))]
-    if kind not in (PolyhedronKind.OCTAHEDRON, PolyhedronKind.ICOSAHEDRON):
-        raise ValueError(f"unhandled kind {kind}")
-    # an even orbit 2(k, j) has value 4m with m = Q(k, j); the octahedron adds
-    # 4m/3, except when 3 | m, where 4m/3 is itself a direct value; both
-    # bounds on m are exact, so a float nmax rounds no line in or out
-    direct = math.floor(nmax) // 4
-    third = 3 * Fraction(nmax) // 4 if kind is PolyhedronKind.OCTAHEDRON \
-        else -1
+        keep = np.full(q.shape, True)
+        mult = np.bincount(q, weights=_orbit_size(k, j)).astype(int).tolist()
+    else:
+        keep = (k - j) % 2 == 0 if square else (k % 2 == 0) & (j % 2 == 0)
+        mult = [1] * (int(q.max()) + 1)
+    tag = "squareLattice" if square else "hexLattice"
     lines = []
-    for m, (k, j) in zip(*_first_orbits(*_sweep(max(direct, third)))):
-        if m <= direct:
-            lines.append(SpectrumLine(Fraction(4 * m), 1, "hexLattice",
-                                      (2 * k, 2 * j)))
-        if m <= third and m % 3:
-            lines.append(SpectrumLine(Fraction(4 * m, 3), 1, "third",
-                                      (2 * k, 2 * j)))
-    # 3 * value is an integer, and ints compare far faster than Fractions
-    lines.sort(key=lambda sl: 3 * sl.value.numerator // sl.value.denominator)
+    for n, w in zip(*_first_orbits(q[keep], k[keep], j[keep])):
+        if n <= nmax:
+            lines.append(SpectrumLine(Fraction(n), mult[n], tag, w))
+        if octa and n % 3:
+            lines.append(SpectrumLine(Fraction(n, 3), 1, "third", w))
+    if octa:
+        # 3 * value is an integer, and ints compare far faster than Fractions
+        lines.sort(key=lambda sl: 3 * sl.value.numerator
+                   // sl.value.denominator)
     return lines
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import analysis, analytic, eigen, fem
 from .errors import PolyspecError
 from .mesh import build_mesh, expected_planar_count, interpolate
-from .net import PolyhedronKind, build_net
+from .net import PolyhedronKind, build_net, face_containing
 
 
 def _fmt(x) -> str:
@@ -232,14 +233,14 @@ def _cmd_slice(args) -> int:
                             f"{mesh.dof_count - 1}: the mesh has "
                             f"{mesh.dof_count} DOFs")
     xs = mesh.planar_vertices[:, 0]
-    ys = mesh.planar_vertices[:, 1]
-    if not ys.min() - 1e-9 <= args.y0 <= ys.max() + 1e-9:
-        raise PolyspecError(f"y0={args.y0} outside the net's y-range "
-                            f"[{ys.min():.6g}, {ys.max():.6g}]")
+    xs = np.linspace(xs.min(), xs.max(), args.samples)
+    # the rule interpolate applies: face_containing, up to 1e-9 on the lattice
+    if all(face_containing(mesh.net, x, args.y0) is None for x in xs):
+        raise PolyspecError(f"--y0 {args.y0}: no sample point lies on the net")
     _, _, pairs = _solve_pairs(mesh, args.index + 1, args.tol, args.seed)
     vec = pairs[args.index].vector
     rows = ["s,value"]
-    for x in np.linspace(xs.min(), xs.max(), args.samples):
+    for x in xs:
         try:
             val = interpolate(mesh, vec, (x, args.y0))
             rows.append(f"{_fmt(x)},{_fmt(val)}")
@@ -326,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_slice)
+    # argparse before 3.14 reads a value like -1e-9 as an option string
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

@@ -158,12 +158,11 @@ def build_mesh(net: PolyhedronNet, r: int) -> SurfaceMesh:
         xy = np.column_stack(lattice_to_xy(lattice[:, 0], lattice[:, 1])) / r
 
     # glued boundary grid points share a DOF: connected components of the
-    # glue graph, labelled in order of first occurrence
+    # glue graph, labelled in order of first occurrence; edge b runs backwards
     edges = []
     for g in net.identifications:
-        b = net.faces[g.face_b].edge_corners(g.edge_b)
         edges += [net.faces[g.face_a].edge_corners(g.edge_a),
-                  b[::-1] if g.orientation == "reversed" else b]
+                  net.faces[g.face_b].edge_corners(g.edge_b)[::-1]]
     p0, p1 = np.array(edges, dtype=np.int64)[:, :, None].swapaxes(0, 1)
     ids = grid_index(lattice, p0 * r + (p1 - p0) * np.arange(r + 1)[:, None])
     graph = coo_matrix((np.ones(ids.size // 2),

@@ -4,7 +4,9 @@ Each surface is developed into the plane as a chain of unit faces (equilateral
 triangles on the triangular tiling, or axis-aligned unit squares), consecutive
 faces sharing an edge.  Boundary edges of the chain are glued in pairs; the
 pairing is recovered from the combinatorial vertex labels carried by each face
-corner, so the quotient is exactly the closed polyhedral surface.  Triangle
+corner, so the quotient is exactly the closed polyhedral surface.  Every face
+is counterclockwise, so the nets are oriented and every glue joins its two
+edges in opposite directions: s on one edge is 1 - s on the other.  Triangle
 corners live on the lattice spanned by e1 = (1, 0) and e2 = (1/2, sqrt(3)/2);
 square corners live on the integer lattice.
 
@@ -157,18 +159,16 @@ class Face:
 
 @dataclass(frozen=True)
 class EdgeGlue:
-    """Identification of two boundary edges, matched endpoint-to-endpoint.
+    """Identification of two boundary edges with opposite directions.
 
-    orientation is "aligned" when parameter s on edge A maps to s on edge B
-    (both edges traversed in their stored corner order) and "reversed" when it
-    maps to 1 - s.
+    Both faces are counterclockwise, so parameter s on edge A (in its stored
+    corner order) is the point 1 - s on edge B.
     """
 
     face_a: int
     edge_a: int
     face_b: int
     edge_b: int
-    orientation: str
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,9 @@ class ConePoint:
 class PolyhedronNet:
     """Planar development of a polyhedral surface with boundary gluing.
 
-    Immutable after construction; safe for unrestricted concurrent reads.
+    Oriented: every face is counterclockwise, and every glue in
+    identifications maps s on one edge to 1 - s on the other.  Immutable
+    after construction; safe for unrestricted concurrent reads.
     """
 
     kind: PolyhedronKind
@@ -200,8 +202,8 @@ class PolyhedronNet:
     area: float
     cone_angle: float
     # derived lookups
-    _glue_of: dict
-    _interior: dict
+    _partner: dict
+    _interior: frozenset
     _cell_face: dict
 
     @property
@@ -222,7 +224,7 @@ class PolyhedronNet:
         for g in self.identifications:
             lines.append(
                 f"glue: face {g.face_a} edge {g.edge_a} <-> "
-                f"face {g.face_b} edge {g.edge_b} ({g.orientation})")
+                f"face {g.face_b} edge {g.edge_b}")
         for c in self.cone_points:
             lines.append(
                 f"cone: vertex {c.label} at ({c.position[0]:.6g},"
@@ -256,26 +258,17 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
             la, lb = f.edge_labels(e)
             by_pair.setdefault(frozenset((la, lb)), []).append((f.index, e))
     glues = []
-    glue_of = {}
-    interior = {}
+    partner = {}
+    interior = set()
     for pair, inst in sorted(by_pair.items(), key=lambda kv: kv[1]):
         if len(inst) != 2:
             raise AssertionError(f"edge {set(pair)} appears {len(inst)} times")
         (fa, ea), (fb, eb) = inst
-        ca = set(faces[fa].edge_corners(ea))
-        cb = set(faces[fb].edge_corners(eb))
-        if ca == cb:
-            interior[(fa, ea)] = (fb, eb)
-            interior[(fb, eb)] = (fa, ea)
+        if set(faces[fa].edge_corners(ea)) == set(faces[fb].edge_corners(eb)):
+            interior.update(inst)
             continue
-        la = faces[fa].edge_labels(ea)
-        lb = faces[fb].edge_labels(eb)
-        orientation = "aligned" if la == lb else "reversed"
-        glue = EdgeGlue(fa, ea, fb, eb, orientation)
-        glues.append(glue)
-        gi = len(glues) - 1
-        glue_of[(fa, ea)] = gi
-        glue_of[(fb, eb)] = gi
+        glues.append(EdgeGlue(fa, ea, fb, eb))
+        partner[fa, ea], partner[fb, eb] = (fb, eb), (fa, ea)
 
     # cone points: one per polyhedron vertex
     positions = {}
@@ -299,8 +292,8 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
         strip_width=len(faces) if is_cube else len(faces) // 2,
         area=len(faces) * (1.0 if is_cube else SQRT3 / 4),
         cone_angle=angle,
-        _glue_of=glue_of,
-        _interior=interior,
+        _partner=partner,
+        _interior=frozenset(interior),
         _cell_face={f.cell: f.index for f in faces},
     )
     return net
@@ -346,8 +339,8 @@ def glue_map(net: PolyhedronNet, face: int, edge: int, s: float):
 
     Returns
     -------
-    (face, edge, s) of the identified point.  Applying the map twice returns
-    the input.
+    (face, edge, 1 - s) of the identified point: the net is oriented, so
+    every glue reverses its edges.  Applying the map twice returns the input.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"edge parameter s={s} outside [0, 1]")
@@ -355,15 +348,9 @@ def glue_map(net: PolyhedronNet, face: int, edge: int, s: float):
     if key in net._interior:
         raise InteriorEdgeError(
             f"face {face} edge {edge} is an interior edge of the net")
-    if key not in net._glue_of:
+    if key not in net._partner:
         raise ValueError(f"face {face} edge {edge} is not an edge of the net")
-    g = net.identifications[net._glue_of[key]]
-    if (g.face_a, g.edge_a) == key:
-        other = (g.face_b, g.edge_b)
-    else:
-        other = (g.face_a, g.edge_a)
-    t = s if g.orientation == "aligned" else 1.0 - s
-    return other[0], other[1], t
+    return (*net._partner[key], 1.0 - s)
 
 
 def edge_point(net: PolyhedronNet, face: int, edge: int, s: float):

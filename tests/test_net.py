@@ -141,6 +141,27 @@ def test_face_containing_frame_reproduces_the_point(kind):
             assert np.linalg.norm(a + u * (b - a) + v * (c - a) - p) < 1e-12
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_nets_are_oriented_and_every_glue_reverses(kind):
+    net = ps.build_net(kind)
+    for f in net.faces:
+        x, y = np.array(f.vertices).T
+        area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+        assert area > 0, f.index
+    lines = [ln for ln in net.describe().splitlines()
+             if ln.startswith("glue:")]
+    assert lines == [f"glue: face {g.face_a} edge {g.edge_a} <-> "
+                     f"face {g.face_b} edge {g.edge_b}"
+                     for g in net.identifications]
+    for g in net.identifications:
+        fa, fb = net.faces[g.face_a], net.faces[g.face_b]
+        assert fa.edge_labels(g.edge_a) == fb.edge_labels(g.edge_b)[::-1]
+        for a, b in (((g.face_a, g.edge_a), (g.face_b, g.edge_b)),
+                     ((g.face_b, g.edge_b), (g.face_a, g.edge_a))):
+            for s in (0.0, 0.3, 1.0):
+                assert ps.glue_map(net, *a, s) == (*b, 1.0 - s)
+
+
 def test_glue_map_rejects_bad_arguments():
     net = ps.build_net(PolyhedronKind.CUBE)
     g = net.identifications[0]
