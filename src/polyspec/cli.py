@@ -327,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_slice)
-    # argparse before 3.14 reads a value like -1e-9 as an option string
+    # argparse before 3.14 reads a value like -1e-9 or -inf as an option string
     for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        p._negative_number_matcher = re.compile(r"(?i)-(\.?\d|inf|nan)")
     return ap
 
 

@@ -2,13 +2,13 @@
 
 Element integrals are evaluated in closed form (the integrands are polynomial,
 so no quadrature is involved).  Assembly maps the element matrices through the
-mesh's DOF map.  Each unordered off-diagonal pair of an element is keyed by
-lo*n + hi of its two DOFs; the sorted distinct keys are one real upper-triangle
-pattern U, built once and shared by K and M.  Each matrix's entries of U, and
-its diagonal D, are bincount sums of the element terms in element order.  The
-matrix is U + U^T + D, so both triangles hold the very same sums and the
-result is exactly symmetric.  The closed surface has no boundary conditions,
-so the stiffness matrix has the constants in its kernel.
+mesh's DOF map.  Each matrix's upper triangle U is one COO -> CSR conversion
+of the element terms of every unordered off-diagonal pair at (lo, hi) of its
+two DOFs, and scipy's conversion sums the duplicates; its diagonal D is a
+bincount sum of the element terms in element order.  The matrix is
+U + U^T + D, so both triangles hold the very same sums and the result is
+exactly symmetric.  The closed surface has no boundary conditions, so the
+stiffness matrix has the constants in its kernel.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     off-diagonal entry is a two-term sum, which has the same bits in either
     order; U, U^T and D have disjoint patterns, so adding them only copies
     entries.  A mesh with a pair in three or more elements is still summed
-    correctly, in element order, but the bits of those sums are not promised.
+    correctly, in the order of scipy's COO -> CSR conversion, but the bits
+    of those sums are not promised.
 
     K carries the mesh as the private attribute ``_mesh``, through which
     eigen.solve_lowest finds the mesh's symmetry sectors.  Anything that
@@ -81,35 +82,26 @@ def assemble(mesh: SurfaceMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     dofs = mesh.dof_of[elements]                         # (E, 3)
     n = mesh.dof_count
 
-    # local pairs (0, 1), (0, 2), (1, 2), each keyed by lo*n + hi of its
-    # DOFs; the (E, 3) arrays are filled column by column but read
-    # element-major, the order in which the bincounts below add entries
+    # local pairs (0, 1), (0, 2), (1, 2) at (lo, hi) of their DOFs; int32 is
+    # the index type scipy itself picks below 2**31 DOFs, so it copies nothing
     scale = 4.0 * area
-    keys = np.empty(dofs.shape, np.int64)
+    lo, hi = np.empty(dofs.shape, np.int32), np.empty(dofs.shape, np.int32)
     k_diag, k_pair = np.empty(dofs.shape), np.empty(dofs.shape)
     for p, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
-        np.multiply(np.minimum(dofs[:, a], dofs[:, b]), n, out=keys[:, p])
-        keys[:, p] += np.maximum(dofs[:, a], dofs[:, b])
+        np.minimum(dofs[:, a], dofs[:, b], out=lo[:, p])
+        np.maximum(dofs[:, a], dofs[:, b], out=hi[:, p])
         k_diag[:, p] = (ex[p] * ex[p] + ey[p] * ey[p]) / scale
         k_pair[:, p] = (ex[a] * ex[b] + ey[a] * ey[b]) / scale
     del ex, ey, scale
-    # one sorted edge list, the upper triangle's pattern for K and M alike
-    edges, slot = np.unique(keys.ravel(), return_inverse=True)
-    del keys
-    rows, cols = np.divmod(edges, n)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    del edges, rows
 
     def matrix(pair, diag):
-        U = sparse.csr_matrix((pair, cols, indptr), shape=(n, n))
+        U = sparse.csr_matrix((pair, (lo.ravel(), hi.ravel())), shape=(n, n))
         return U + U.T + sparse.diags(diag, format="csr")
 
-    K = matrix(np.bincount(slot, k_pair.ravel()),
-               np.bincount(dofs.ravel(), k_diag.ravel(), n))
+    K = matrix(k_pair.ravel(), np.bincount(dofs.ravel(), k_diag.ravel(), n))
     del k_pair, k_diag
     m_pair = np.repeat(area / 12.0, 3)
-    M = matrix(np.bincount(slot, m_pair),
-               np.bincount(dofs.ravel(), 2.0 * m_pair, n))
+    M = matrix(m_pair, np.bincount(dofs.ravel(), 2.0 * m_pair, n))
     K.eliminate_zeros()
     K._mesh = mesh
     return K, M

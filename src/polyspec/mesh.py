@@ -135,10 +135,11 @@ def build_mesh(net: PolyhedronNet, r: int) -> SurfaceMesh:
     net : PolyhedronNet
         Net to refine.
     r : int
-        Subintervals per unit edge, r >= 1.
+        Subintervals per unit edge, an integral value >= 1.
     """
-    if r < 1:
-        raise ValueError(f"resolution must be >= 1, got {r}")
+    if not (r >= 1 and float(r).is_integer()):
+        raise ValueError(f"resolution must be an integer >= 1, got {r}")
+    r = int(r)
     is_cube = net.kind is PolyhedronKind.CUBE
 
     grid = face_grid([f.corners for f in net.faces], r)

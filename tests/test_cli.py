@@ -339,19 +339,20 @@ def test_domain_errors_exit_1(tmp_path, capsys):
 def test_slice_y0_off_the_net_exits_1_before_solving(tmp_path, capsys,
                                                     monkeypatch):
     # 1e-9 below the tetrahedron net is 1.15e-9 below it in lattice
-    # coordinates, so no sample point is located
+    # coordinates, so no sample point is located; nor is any on a NaN line
     def no_solve(*args, **kwargs):
         raise AssertionError("slice solved before checking --y0")
 
     monkeypatch.setattr(cli, "_solve_pairs", no_solve)
     out = tmp_path / "s.csv"
-    assert run(["slice", "--polyhedron", "tetrahedron", "--resolution", "2",
-                "--index", "1", "--y0", "-1e-9", "--samples", "5",
-                "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --y0 -1e-09")
-    assert "Traceback" not in err
-    assert not out.exists()
+    for y0, shown in (("-1e-9", "-1e-09"), ("-nan", "nan")):
+        assert run(["slice", "--polyhedron", "tetrahedron", "--resolution",
+                    "2", "--index", "1", "--y0", y0, "--samples", "5",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --y0 {shown}"), y0
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_slice_y0_within_the_tolerance_writes_values(tmp_path):
@@ -373,7 +374,8 @@ def _float_options():
                 yield name, p, a
 
 
-@pytest.mark.parametrize("value", ["-1e-9", "-1E3", "-.5e2", "-2.5e+1"])
+@pytest.mark.parametrize("value", ["-1e-9", "-1E3", "-.5e2", "-2.5e+1",
+                                   "-inf", "-Infinity", "-nan"])
 def test_float_options_read_negative_exponents_as_values(value):
     options = list(_float_options())
     assert {a.option_strings[0] for _, _, a in options} >= \
@@ -384,15 +386,19 @@ def test_float_options_read_negative_exponents_as_values(value):
             if req.required and req is not a:
                 argv += [req.option_strings[0],
                          req.choices[0] if req.choices else "1"]
-        assert getattr(p.parse_args(argv), a.dest) == float(value), name
+        got, want = getattr(p.parse_args(argv), a.dest), float(value)
+        assert got == want or math.isnan(got) and math.isnan(want), name
 
 
 def test_count_negative_tmax_with_exponent_exits_1(tmp_path, capsys):
     out = tmp_path / "n.csv"
-    assert run(["count", "--polyhedron", "tetrahedron", "--source", "exact",
-                "--tmax", "-1e3", "--samples", "5", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: --tmax must be > 0")
-    assert not out.exists()
+    for tmax in ("-1e3", "-inf"):
+        assert run(["count", "--polyhedron", "tetrahedron", "--source",
+                    "exact", "--tmax", tmax, "--samples", "5",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tmax must be > 0"), tmax
+        assert not out.exists()
 
 
 # a case's --out OUT_DIR names a directory in the test's tmp_path

@@ -217,9 +217,23 @@ def test_assembly_matches_dense_oracle(kind, r, bench):
     assert stored_k == stored_m - diagonals
 
 
+def test_pair_in_three_elements_matches_dense_oracle():
+    # DOFs 0 and 1 share three elements, so their entries are three-term sums
+    mesh = SimpleNamespace(
+        planar_vertices=np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0),
+                                  (0.5, 2.0), (0.5, -1.0)]),
+        elements=np.array([(0, 1, 2), (0, 1, 3), (1, 0, 4)]),
+        dof_of=np.arange(5), dof_count=5)
+    K, M = ps.assemble(mesh)
+    K_want, M_want = _dense_oracle(mesh)
+    for A, want in ((K, K_want), (M, M_want)):
+        assert np.abs(A.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+        assert (A != A.T).nnz == 0
+
+
 def _complex_coo_assemble(mesh):
-    """K and M from one complex COO -> CSR pass of K + iM, the path assemble
-    took before the shared real pattern: its bit-identity oracle."""
+    """K and M from one complex COO -> CSR pass of K + iM, the complex path
+    assemble took before commit 7bd1600, kept as its bit-identity oracle."""
     n, dofs = mesh.dof_count, mesh.dof_of[mesh.elements]
     c = mesh.planar_vertices[mesh.elements]         # (E, 3, 2) corners
     e = c[:, [2, 0, 1]] - c[:, [1, 2, 0]]           # edge opposite corner i
@@ -245,7 +259,7 @@ def _complex_coo_assemble(mesh):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("r", [1, 2, 3, 7])
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
 @pytest.mark.parametrize("permuted", [False, True])
 def test_assembly_is_bitwise_the_complex_coo_path(kind, r, permuted, bench):
     mesh = bench.mesh(kind, r)

@@ -294,5 +294,15 @@ def test_non_finite_points_are_out_of_domain(kind, p, bench):
 
 
 def test_build_mesh_rejects_bad_resolution():
-    with pytest.raises(ValueError):
-        ps.build_mesh(ps.build_net(PolyhedronKind.CUBE), 0)
+    net = ps.build_net(PolyhedronKind.CUBE)
+    for r in (0, -1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resolution"):
+            ps.build_mesh(net, r)
+    want = ps.build_mesh(net, 2)
+    for r in (2.0, np.int64(2)):
+        mesh = ps.build_mesh(net, r)
+        assert type(mesh.resolution) is int and mesh.resolution == 2
+        for name in ("planar_vertices", "planar_lattice", "elements",
+                     "dof_of"):
+            assert np.array_equal(getattr(mesh, name), getattr(want, name))
+        assert mesh.dof_count == want.dof_count
