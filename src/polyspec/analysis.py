@@ -1,4 +1,4 @@
-"""Normalization, extrapolation, eigenvalue counting, and classification.
+"""Normalization, extrapolation, counting, classification and clustering.
 
 The counting function N(t) of a sorted eigenvalue series is compared against
 the affine prediction slope * t + c, with slope = area / (4 pi) and the
@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .analytic import LATTICE_LIMIT, exact_spectrum, normalizer
-from .eigen import cluster_slices
 from .errors import InsufficientSpectrumError
 from .net import PolyhedronKind, build_net
 
@@ -226,11 +225,15 @@ def classify(normalized_lambda: float, kind: PolyhedronKind,
 
 
 def group_clusters(values, rel_tol: float = 0.005):
-    """Group sorted values into clusters split at relative gaps > rel_tol.
+    """Group values, sorted first, into (mean value, multiplicity) pairs.
 
-    Returns a list of (mean value, multiplicity) pairs.  The split rule is
-    eigen.cluster_slices, which cluster_projector also uses.
+    A cluster ends where the gap to the next value exceeds
+    rel_tol * max(1, |next value|); a gap exactly at that bound does not
+    split.  No values give no clusters.
     """
     vals = np.sort(np.asarray(values, dtype=np.float64))
-    return [(float(vals[s].mean()), s.stop - s.start)
-            for s in cluster_slices(vals, rel_tol)]
+    if not len(vals):
+        return []
+    split = np.diff(vals) > rel_tol * np.maximum(1.0, np.abs(vals[1:]))
+    return [(float(c.mean()), len(c))
+            for c in np.split(vals, np.flatnonzero(split) + 1)]

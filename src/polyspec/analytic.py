@@ -141,16 +141,6 @@ def _orbit_size(k, j):
     return np.where(k == 0, 1, np.where((j == 0) | (j == k), 3, 6))
 
 
-def _first_orbits(q, k, j):
-    """Distinct norms, ascending, with the smallest (k, j) of each.
-
-    np.unique reports the first occurrence of each norm, which is the
-    lexicographically smallest orbit because the sweep is k-major.
-    """
-    norms, first = np.unique(q, return_index=True)
-    return norms.tolist(), list(zip(k[first].tolist(), j[first].tolist()))
-
-
 def hexagonal_multiplicity(n: int) -> int:
     """Number of eigenfunctions of the hexagonal form with j^2+k^2+jk = n.
 
@@ -228,8 +218,12 @@ def exact_spectrum(kind: PolyhedronKind, nmax: float):
         keep = (k - j) % 2 == 0 if square else (k % 2 == 0) & (j % 2 == 0)
         mult = [1] * (int(q.max()) + 1)
     tag = "squareLattice" if square else "hexLattice"
+    # np.unique reports each norm's first occurrence, which is its smallest
+    # orbit (k, j) because the sweep is k-major
+    norms, first = np.unique(q[keep], return_index=True)
+    orbits = zip(k[keep][first].tolist(), j[keep][first].tolist())
     lines = []
-    for n, w in zip(*_first_orbits(q[keep], k[keep], j[keep])):
+    for n, w in zip(norms.tolist(), orbits):
         if n <= nmax:
             lines.append(SpectrumLine(Fraction(n), mult[n], tag, w))
         if octa and n % 3:
@@ -300,12 +294,6 @@ class TrigEigenfunction:
             freqs = c[:, :1] * np.array(U_VEC) + c[:, 1:] * np.array(V_VEC)
         freqs.flags.writeable = False
         return freqs
-
-    @property
-    def terms(self):
-        """Per-term view: list of (sign, waveform, base frequency vector)."""
-        return [(s, self.waveform, tuple(f))
-                for s, f in zip(self.signs, self.frequencies)]
 
     @property
     def bisector_sign(self) -> int:

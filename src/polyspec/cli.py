@@ -341,7 +341,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PolyspecError, ValueError, OSError, MemoryError) as exc:
+    except (PolyspecError, ValueError, OSError, MemoryError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,6 @@ from .errors import DimensionTooLargeError, NoConvergenceError
 
 _DENSE_GUARD = 2000
 _SHIFT = -1e-2
-_CLUSTER_GAP = 1e-6
 # pairs a sector computes beyond its share of m, so that the merge is usually
 # certified without solving a sector twice; the symmetric sector asks for
 # ceil(sqrt(share)) instead where that is larger (see _lowest_by_sector)
@@ -337,31 +336,3 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
             iterations=applications, worst_residual=worst)
     return pairs
 
-
-def cluster_slices(values, rel_gap: float):
-    """Slices of the clusters of sorted values, in order.
-
-    A cluster ends where the gap to the next value exceeds
-    rel_gap * max(1, |next value|); a gap exactly at that bound does not split.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    split = np.diff(vals) > rel_gap * np.maximum(1.0, np.abs(vals[1:]))
-    ends = (np.flatnonzero(split) + 1).tolist() + [len(vals)]
-    return [slice(a, b) for a, b in zip([0] + ends, ends) if a < b]
-
-
-def cluster_projector(pairs, M, rel_gap: float = _CLUSTER_GAP):
-    """M-orthogonal projectors of numerically degenerate clusters.
-
-    Groups consecutive eigenvalues by cluster_slices and returns a list of
-    (slice, projector) with projector = V V^T M for the cluster's
-    M-orthonormal basis V.  Projectors are reproducible even when the basis
-    inside a cluster is not.
-    """
-    out = []
-    for s in cluster_slices([p.value for p in pairs], rel_gap):
-        V = np.column_stack([p.vector for p in pairs[s]])
-        G = V.T @ (M @ V)
-        Vo = V @ np.linalg.inv(np.linalg.cholesky(G)).T
-        out.append((s, Vo @ (M @ Vo).T))
-    return out

@@ -135,10 +135,14 @@ def build_mesh(net: PolyhedronNet, r: int) -> SurfaceMesh:
     net : PolyhedronNet
         Net to refine.
     r : int
-        Subintervals per unit edge, an integral value >= 1.
+        Subintervals per unit edge, an integral value >= 1 that keeps the
+        scaled net corners below 2**31 in magnitude, as _KEY needs.
     """
-    if not (r >= 1 and float(r).is_integer()):
-        raise ValueError(f"resolution must be an integer >= 1, got {r}")
+    corner = int(np.abs([f.corners for f in net.faces]).max())
+    largest = (2 ** 31 - 1) // corner
+    if not (1 <= r <= largest and r % 1 == 0):
+        raise ValueError(f"resolution must be an integer from 1 to {largest}, "
+                         f"got {r}")
     r = int(r)
     is_cube = net.kind is PolyhedronKind.CUBE
 

@@ -175,13 +175,11 @@ class EdgeGlue:
 class ConePoint:
     """A cone point of the surface: one polyhedron vertex.
 
-    position is a representative planar location; positions lists every planar
-    copy appearing on the net.
+    positions lists every planar copy appearing on the net, the first one its
+    representative location.  Every cone angle is the net's cone_angle.
     """
 
     label: int
-    position: tuple
-    angle: float
     positions: tuple
 
 
@@ -227,8 +225,8 @@ class PolyhedronNet:
                 f"face {g.face_b} edge {g.edge_b}")
         for c in self.cone_points:
             lines.append(
-                f"cone: vertex {c.label} at ({c.position[0]:.6g},"
-                f"{c.position[1]:.6g}) angle {c.angle:.12g}")
+                f"cone: vertex {c.label} at ({c.positions[0][0]:.6g},"
+                f"{c.positions[0][1]:.6g}) angle {self.cone_angle:.12g}")
         return "\n".join(lines)
 
 
@@ -280,8 +278,7 @@ def build_net(kind: PolyhedronKind) -> PolyhedronNet:
     # Gauss-Bonnet: the V equal cone deficits 2 pi - angle sum to 4 pi
     n_cones = len(positions)
     angle = 2 * math.pi * (n_cones - 2) / n_cones
-    cones = tuple(ConePoint(label=lab, position=pos[0], angle=angle,
-                            positions=tuple(pos))
+    cones = tuple(ConePoint(label=lab, positions=tuple(pos))
                   for lab, pos in sorted(positions.items()))
 
     net = PolyhedronNet(

@@ -402,7 +402,7 @@ def test_per_term_eigen_relation():
 
 def test_term_counts():
     for f in all_functions():
-        assert len(f.terms) in (2, 3, 4, 6)
+        assert len(f.signs) in (2, 3, 4, 6)
 
 
 def test_waveforms_by_type():

@@ -447,12 +447,18 @@ OUT_DIR = "out-dir"
       "3"], "no positive eigenvalue; more pairs are needed (--num-eigs)"),
     (["analytic", "--polyhedron", "tetrahedron", "--nmax", "10", "--out",
       OUT_DIR], "Is a directory"),
+    (["solve", "--polyhedron", "cube", "--resolution", str(10 ** 400),
+      "--num-eigs", "3"], "resolution must be an integer from 1 to"),
+    # the orbit is admissible, but its frequencies exceed the float range
+    (["analytic", "--polyhedron", "octahedron", "--eval", "--type", "+-",
+      "--orbit", f"{10 ** 400},0", "--grid", "4"],
+     "int too large to convert to float"),
 ], ids=["tol_nan", "num_eigs_0", "slice_index_99", "slice_index_negative",
         "slice_samples_1", "eval_grid_1", "orbit_one_number", "nmax_nan",
         "count_samples_1", "count_tmax_1e160", "count_samples_huge",
         "eval_grid_huge", "eval_without_type", "analytic_without_nmax",
         "csv_bad_header", "count_exact_cube", "count_one_pair",
-        "out_is_directory"])
+        "out_is_directory", "resolution_huge", "orbit_huge"])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, args,
                                              message):
     out = tmp_path / "o.csv"

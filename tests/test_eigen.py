@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import polyspec as ps
 from polyspec import PolyhedronKind
 
-from conftest import KINDS
+from conftest import CLUSTER_GAP, KINDS, span_distance
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -169,17 +169,18 @@ def test_reproducible_for_fixed_seed(bench):
         assert np.array_equal(p.vector, q.vector)
 
 
-def test_degenerate_cluster_projector_reproducible(bench):
+def test_degenerate_cluster_spans_reproducible(bench):
     K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)
     a = ps.solve_lowest(K, M, 10, seed=1)
     b = ps.solve_lowest(K, M, 10, seed=99)
-    pa = ps.eigen.cluster_projector(a, M)
-    pb = ps.eigen.cluster_projector(b, M)
-    assert len(pa) == len(pb)
+    sizes = [n for _, n in ps.group_clusters([p.value for p in a],
+                                             CLUSTER_GAP)]
+    assert sizes == [n for _, n in ps.group_clusters([p.value for p in b],
+                                                     CLUSTER_GAP)]
+    ends = np.cumsum([0] + sizes).tolist()
     # the final cluster may be truncated by m and is then seed-dependent
-    for (sla, Pa), (slb, Pb) in zip(pa[:-1], pb[:-1]):
-        assert sla == slb
-        assert np.linalg.norm(Pa - Pb) < 1e-6
+    for lo, hi in zip(ends[:-2], ends[1:-1]):
+        assert span_distance(a[lo:hi], b[lo:hi], M) < 1e-6
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -273,16 +274,12 @@ def test_matches_scipy_shift_invert_above_dense_guard(kind, bench):
     a = np.array([p.value for p in ref])
     b = np.array([p.value for p in low])
     assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, a))
-    gap = ps.eigen._CLUSTER_GAP
-    sizes = [n for _, n in ps.group_clusters(a, rel_tol=gap)]
-    assert sizes == [n for _, n in ps.group_clusters(b, rel_tol=gap)]
+    sizes = [n for _, n in ps.group_clusters(a, rel_tol=CLUSTER_GAP)]
+    assert sizes == [n for _, n in ps.group_clusters(b, rel_tol=CLUSTER_GAP)]
     ends = np.cumsum([0] + sizes).tolist()
-    # one cluster at a time, since each projector is a dense n-by-n matrix;
     # the final cluster may be truncated by m and then depends on rounding
     for lo, hi in zip(ends[:-2], ends[1:-1]):
-        [(_, Pa)] = ps.eigen.cluster_projector(ref[lo:hi], M)
-        [(_, Pb)] = ps.eigen.cluster_projector(low[lo:hi], M)
-        assert np.linalg.norm(Pa - Pb) < 1e-8
+        assert span_distance(ref[lo:hi], low[lo:hi], M) < 1e-8
 
 
 @needs_fork

@@ -3,7 +3,8 @@
 A module uses another polyspec module's public names only, and imports at
 module level only, so every dependency between modules is visible at the top
 of the file that has it; every name it imports there is used; and every
-private name it defines at module level is referenced in it.
+private name it defines at module level is referenced in it.  The exact
+lattice side and the finite-element side import nothing from each other.
 """
 
 import ast
@@ -24,6 +25,33 @@ def is_polyspec(node):
 
 def test_sources_found():
     assert {"mesh.py", "net.py", "analytic.py"} <= {p.name for p in MODULES}
+
+
+def imported_modules(tree):
+    """Names of the polyspec modules a module imports at module level."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and is_polyspec(node):
+            parts = (node.module or "").split(".")
+            if parts[0] == "polyspec":
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_exact_and_fem_sides_are_independent():
+    # they share only net and errors, so checking one side's spectrum
+    # against the other's is a real cross-check; cli and __init__ see both
+    exact = {"analytic", "analysis"}
+    fem = {"mesh", "fem", "symmetry", "eigen"}
+    imports = {name[:-3]: imported_modules(tree) for name, tree in parsed()}
+    found = [f"{a} imports {b}"
+             for side, other in ((exact, fem), (fem, exact))
+             for a in sorted(side) for b in sorted(imports[a] & other)]
+    assert not found, found
 
 
 def test_no_private_names_imported_across_modules():

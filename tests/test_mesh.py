@@ -295,7 +295,7 @@ def test_non_finite_points_are_out_of_domain(kind, p, bench):
 
 def test_build_mesh_rejects_bad_resolution():
     net = ps.build_net(PolyhedronKind.CUBE)
-    for r in (0, -1, 2.5, math.nan, math.inf):
+    for r in (0, -1, 2.5, math.nan, math.inf, 10 ** 400):
         with pytest.raises(ValueError, match="resolution"):
             ps.build_mesh(net, r)
     want = ps.build_mesh(net, 2)
