@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,16 +168,22 @@ def remainder_series(series: CountingSeries, tmax: float,
     return RemainderTable(t=t, n=n, d=d, a=a, g=g)
 
 
-@lru_cache(maxsize=None)
-def _spectrum_table(kind: PolyhedronKind, bound: float):
-    """Lines of exact_spectrum(kind, bound) and their float values.
+# kind -> (bound, lines, float values) of the largest table classify built
+_TABLES = {}
 
-    classify passes powers of two capped at LATTICE_LIMIT, so a column of
-    values costs O(log(largest value)) builds and the cache holds at most 17
-    tables per kind; callers only read them.
+
+def _spectrum_table(kind: PolyhedronKind, bound: float):
+    """Lines of exact_spectrum(kind, b), b >= bound, and their float values.
+
+    exact_spectrum(kind, b) begins with every smaller bound's lines, so the
+    largest table of each kind serves every bound up to its own; classify
+    passes powers of two, so a column costs O(log(largest value)) builds.
     """
-    lines = exact_spectrum(kind, bound)
-    return lines, np.array([float(sl.value) for sl in lines])
+    if kind not in _TABLES or _TABLES[kind][0] < bound:
+        lines = exact_spectrum(kind, bound)
+        values = np.array([float(sl.value) for sl in lines])
+        _TABLES[kind] = bound, lines, values
+    return _TABLES[kind][1:]
 
 
 @dataclass(frozen=True)
@@ -211,9 +216,9 @@ def classify(normalized_lambda: float, kind: PolyhedronKind,
             f"{LATTICE_LIMIT:g}")
     lines, values = _spectrum_table(
         kind, min(1 << (math.ceil(top) - 1).bit_length(), LATTICE_LIMIT))
-    # the bound is the least power of two >= top, so every line within tol,
-    # which lies below top, is in the table; values is sorted and holds 0,
-    # and of two equally near neighbours argmin keeps the lower one
+    # the bound is at least the least power of two >= top, so every line
+    # within tol, which lies below top, is in the table; values is sorted and
+    # holds 0, and of two equally near neighbours argmin keeps the lower one
     i = int(np.searchsorted(values, normalized_lambda))
     lo = max(i - 1, 0)
     line = lines[lo + int(np.argmin(np.abs(values[lo:i + 1]

@@ -51,9 +51,9 @@ class SymmetryType(enum.Enum):
     skew-symmetric under every reflection).  The two-character types apply to
     the octahedron (first sign: in-face reflections, second: face-to-face) and
     the cube (first: diagonal reflections, second: straight reflections).
-    A type is a character of the reflection group: its two mirror signs fix
-    the terms, the waveform, the cube's parity rule and which nongeneric
-    orbits are excluded (see _terms).
+    A type is a character of the reflection group; its name gives its two
+    mirror signs, which fix the terms, the waveform, the cube's parity rule
+    and which nongeneric orbits are excluded (see _terms).
     """
 
     ONE_PLUS = "1+"
@@ -72,35 +72,22 @@ class SymmetryType(enum.Enum):
         raise ValueError(f"unknown symmetry type {name!r}")
 
 
-# (bisector-family sign, edge-family sign) of the base formulas.  For the
+# A type's name spells its (bisector-family sign, edge-family sign).  For the
 # octahedron the bisector family is the in-face reflections and the edge
 # family the face-to-face ones.  On the cube the two families swap: the first
 # character is the diagonal family (edge lines and face diagonals), the second
 # the straight family (face bisectors), so its pair is read reversed.
-# _mirror_signs is the only reader; the signs drive the character sum of
-# _terms and the signs of mirror_lines.
-_TYPE_SIGNS = {
-    SymmetryType.ONE_PLUS: (1, 1),
-    SymmetryType.ONE_MINUS: (-1, -1),
-    SymmetryType.PP: (1, 1),
-    SymmetryType.MM: (-1, -1),
-    SymmetryType.PM: (1, -1),
-    SymmetryType.MP: (-1, 1),
-}
-
-
 def _mirror_signs(kind: PolyhedronKind, sym_type: SymmetryType) -> tuple:
-    """(bisector sign, edge sign) of a type, read reversed on the cube."""
-    signs = _TYPE_SIGNS[sym_type]
+    """(bisector sign, edge sign): + is 1, - is -1, 1+ and 1- repeat it."""
+    name = sym_type.value.replace("1", sym_type.value[1])
+    signs = tuple(1 if c == "+" else -1 for c in name)
     return signs[::-1] if kind is PolyhedronKind.CUBE else signs
 
 
 def _admitted_types(kind: PolyhedronKind) -> tuple:
     """The one-dimensional symmetry types of a kind, in enum order."""
-    if kind in (PolyhedronKind.TETRAHEDRON, PolyhedronKind.ICOSAHEDRON):
-        return (SymmetryType.ONE_PLUS, SymmetryType.ONE_MINUS)
-    return (SymmetryType.PP, SymmetryType.MM, SymmetryType.PM,
-            SymmetryType.MP)
+    one = kind in (PolyhedronKind.TETRAHEDRON, PolyhedronKind.ICOSAHEDRON)
+    return tuple(t for t in SymmetryType if t.value.startswith("1") == one)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +282,6 @@ class TrigEigenfunction:
         freqs.flags.writeable = False
         return freqs
 
-    @property
-    def bisector_sign(self) -> int:
-        """Sign across the bisector-family mirrors (swapped by enlargement)."""
-        bis, edge = _mirror_signs(self.kind, self.sym_type)
-        return edge if self.enlargement_depth % 2 else bis
-
-    @property
-    def edge_sign(self) -> int:
-        """Sign across the edge-family mirrors (swapped by enlargement)."""
-        bis, edge = _mirror_signs(self.kind, self.sym_type)
-        return bis if self.enlargement_depth % 2 else edge
-
 
 def _terms(kind, sym_type, k, j):
     """(signs, waveform, coeffs) of the type's character sum over (k, j).
@@ -353,11 +328,12 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
     signs fix the terms and waveform, the cube's parity rule (k and j both
     even iff the signs agree, else both odd) and the nongeneric exclusions
     (orbits whose character sum vanishes).  Raises InadmissibleOrbitError
-    naming the violated rule otherwise.
+    naming the violated rule otherwise, or unless the orbit is exactly two
+    integers whose eigenvalue lambda_value is a finite float.
     """
-    if any(x % 1 != 0 for x in orbit[:2]):      # nan for nan and inf too
+    if len(orbit) != 2 or any(x % 1 != 0 for x in orbit):  # inf % 1 is nan
         raise InadmissibleOrbitError(
-            f"orbit entries must be integers, got ({orbit[0]}, {orbit[1]})")
+            f"orbit must be two integers (k, j), got {tuple(orbit)}")
     k, j = int(orbit[0]), int(orbit[1])
     if not k >= j >= 0:
         raise InadmissibleOrbitError(
@@ -383,9 +359,16 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
             f"nongeneric {'cube ' if cube else ''}orbit ({k}, {j}) has no "
             f"{sym_type.value} eigenfunction")
     signs, waveform, coeffs = made
-    return TrigEigenfunction(kind=kind, sym_type=sym_type, orbit=(k, j),
-                             signs=tuple(signs), waveform=waveform,
-                             coeffs=tuple(coeffs))
+    f = TrigEigenfunction(kind=kind, sym_type=sym_type, orbit=(k, j),
+                          signs=tuple(signs), waveform=waveform,
+                          coeffs=tuple(coeffs))
+    try:
+        if math.isfinite(f.lambda_value):
+            return f
+    except OverflowError:                   # an int beyond the float range
+        pass
+    raise InadmissibleOrbitError(
+        "orbit (k, j) too large: its eigenvalue must be a finite float")
 
 
 def enlarge(f: TrigEigenfunction) -> TrigEigenfunction:
@@ -446,8 +429,10 @@ def mirror_lines(f: TrigEigenfunction):
     point across such a line multiplies the function value by the sign.
     """
     ox, oy = build_net(f.kind).formula_origin
+    b, e = _mirror_signs(f.kind, f.sym_type)
+    if f.enlargement_depth % 2:         # enlargement swaps the two families
+        b, e = e, b
     if f.kind is PolyhedronKind.CUBE:
-        e, b = f.edge_sign, f.bisector_sign
         return [((ox + 0.5, oy), (0.0, 1.0), e),        # edge x = 1
                 ((ox, oy + 0.5), (1.0, 0.0), e),        # edge y = 1
                 ((ox, oy), (1.0, 1.0), e),              # face diagonals
@@ -460,10 +445,10 @@ def mirror_lines(f: TrigEigenfunction):
     c30 = (SQRT3 / 2.0, 0.5)
     c150 = (-SQRT3 / 2.0, 0.5)
     medians = [((0.0, 0.0), c30), ((1.0, 0.0), c150), (c60, (0.0, 1.0))]
-    out = [(p, d, f.edge_sign) for p, d in edges]
+    out = [(p, d, e) for p, d in edges]
     # after an enlargement only the propagated median family remains a mirror
     for p, d in medians[:1] if f.enlargement_depth else medians:
-        out.append((p, d, f.bisector_sign))
+        out.append((p, d, b))
     return out
 
 
@@ -471,8 +456,10 @@ def mirror_lines(f: TrigEigenfunction):
 def admissible_orbits(kind: PolyhedronKind, nmax: int):
     """All admissible (sym_type, orbit) pairs with normalized value <= nmax.
 
-    Raises ValueError unless nmax is an integer at most LATTICE_LIMIT.
+    Raises ValueError unless nmax is an integer from 0 to LATTICE_LIMIT.
     """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     _check_bound(nmax)
     if nmax % 1:
         raise ValueError(f"nmax must be an integer, got {nmax}")

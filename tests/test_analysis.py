@@ -264,6 +264,26 @@ def test_classify_range_error_matches_rebuilt_spectrum(kind):
             assert ps.classify(value, kind, tol) == want
 
 
+def test_classify_keeps_one_table_per_kind(monkeypatch):
+    # the largest table of each kind serves every smaller bound, so a value
+    # below it builds nothing and the cache never holds a second table
+    builds = []
+
+    def counted(kind, nmax):
+        builds.append((kind, nmax))
+        return ps.exact_spectrum(kind, nmax)
+
+    monkeypatch.setattr(ps.analysis, "_TABLES", {})
+    monkeypatch.setattr(ps.analysis, "exact_spectrum", counted)
+    for kind in KINDS:
+        for value in (900.0, 3.0, 40.0, 1022.0, 5000.0, 0.0, 900.5, 8190.0):
+            assert ps.classify(value, kind) == \
+                rebuilt_classify(value, kind, 0.02)
+    assert builds == [(kind, b) for kind in KINDS for b in (1024, 8192)]
+    assert {kind: table[0] for kind, table in ps.analysis._TABLES.items()} \
+        == {kind: 8192 for kind in KINDS}
+
+
 def test_classify_range_error_names_value_and_tol():
     with pytest.raises(ValueError) as info:
         ps.classify(200000, PolyhedronKind.OCTAHEDRON)

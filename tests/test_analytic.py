@@ -39,10 +39,13 @@ def all_functions(nmax=48, kinds=None, with_enlarged=False):
     (lambda: ps.torus_count(-1), "t must be >= 0"),
     (lambda: ps.exact_spectrum("cube", 10), "unhandled kind"),
 ] + [(lambda kind=kind: ps.exact_spectrum(kind, 0), "nmax must be > 0")
-     for kind in PolyhedronKind],
+     for kind in PolyhedronKind] + [
+    (lambda kind=kind: ps.admissible_orbits(kind, -1), "nmax must be >= 0")
+    for kind in PolyhedronKind],
     ids=["parse_xx", "multiplicity_negative", "torus_negative",
          "spectrum_kind_string"]
-    + [f"spectrum_{kind.value}_nmax_0" for kind in PolyhedronKind])
+    + [f"spectrum_{kind.value}_nmax_0" for kind in PolyhedronKind]
+    + [f"orbits_{kind.value}_nmax_negative" for kind in PolyhedronKind])
 def test_invalid_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -267,6 +270,71 @@ def test_generic_values_at_origin():
 def test_inadmissible_orbits_raise(kind, sym, orbit):
     with pytest.raises(ps.InadmissibleOrbitError):
         ps.build_trig_eigenfunction(kind, sym, orbit)
+
+
+@pytest.mark.parametrize("kind, sym, orbit, message", [
+    # one entry raised IndexError, a third entry was silently dropped
+    (PolyhedronKind.CUBE, ST.PP, (2,), "two integers"),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (2, 0, 7), "two integers"),
+    (PolyhedronKind.TETRAHEDRON, ST.ONE_PLUS, (), "two integers"),
+    # admissible on the lattice, but lambda_value raises OverflowError
+    # (10**5000, 10**400, 10**200) or is inf (10**154); the message prints
+    # no entry, which beyond 4300 digits would raise str()'s ValueError
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (10**5000, 0), "finite float"),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (10**400, 0), "finite float"),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (10**200, 0), "finite float"),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (10**154, 0), "finite float"),
+    (PolyhedronKind.CUBE, ST.PP, (10**154, 0), "finite float"),
+], ids=["one_entry", "three_entries", "empty", "octa_1e5000", "octa_1e400",
+        "octa_1e200", "octa_1e154", "cube_1e154"])
+def test_orbit_must_be_two_integers_with_a_finite_eigenvalue(kind, sym, orbit,
+                                                             message):
+    with pytest.raises(ps.InadmissibleOrbitError, match=message):
+        ps.build_trig_eigenfunction(kind, sym, orbit)
+
+
+def test_large_orbits_with_a_finite_eigenvalue_are_built():
+    f = ps.build_trig_eigenfunction(PolyhedronKind.OCTAHEDRON, ST.PM,
+                                    (10**150, 0))
+    assert math.isfinite(f.lambda_value)
+    assert np.isfinite(f.frequencies).all()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1+", ST.ONE_PLUS), ("1-", ST.ONE_MINUS), ("++", ST.PP), ("--", ST.MM),
+    ("+-", ST.PM), ("-+", ST.MP), (" -+ ", ST.MP), ("\t1-\n", ST.ONE_MINUS),
+    ("ONE_PLUS", ST.ONE_PLUS), ("one_plus", ST.ONE_PLUS),
+    ("One_Minus", ST.ONE_MINUS), ("pp", ST.PP), ("MM", ST.MM),
+    ("Mp", ST.MP), (" pM ", ST.PM),
+])
+def test_symmetry_type_parses_values_and_names(text, want):
+    assert ST.parse(text) is want
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "+", "1", "+++", "+ -", "1+-", "11", "one plus", "oneplus",
+    "one-plus", "ONE_PLUS_", "p", "PLUS", "2+", "+1",
+])
+def test_symmetry_type_rejects_other_strings(text):
+    with pytest.raises(ValueError, match="unknown symmetry type"):
+        ST.parse(text)
+
+
+def test_mirror_signs_are_read_off_the_type_name():
+    # (bisector sign, edge sign); the cube reads each name reversed
+    named = {ST.ONE_PLUS: (1, 1), ST.ONE_MINUS: (-1, -1), ST.PP: (1, 1),
+             ST.MM: (-1, -1), ST.PM: (1, -1), ST.MP: (-1, 1)}
+    for kind in PolyhedronKind:
+        cube = kind is PolyhedronKind.CUBE
+        for t, signs in named.items():
+            assert ps.analytic._mirror_signs(kind, t) == \
+                (signs[::-1] if cube else signs)
+    one = (ST.ONE_PLUS, ST.ONE_MINUS)
+    two = (ST.PP, ST.MM, ST.PM, ST.MP)
+    assert [ps.analytic._admitted_types(kind) for kind in PolyhedronKind] == \
+        [one if kind in (PolyhedronKind.TETRAHEDRON,
+                         PolyhedronKind.ICOSAHEDRON) else two
+         for kind in PolyhedronKind]
 
 
 def _mirror_pair(sym_type):

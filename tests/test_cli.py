@@ -265,7 +265,7 @@ def test_classify_column_builds_log_many_spectra(tmp_path, monkeypatch, order):
         builds.append(nmax)
         return original(k, nmax)
 
-    analysis._spectrum_table.cache_clear()
+    analysis._TABLES.clear()
     monkeypatch.setattr(analysis, "exact_spectrum", counted)
     assert run(args + ["--out", str(tmp_path / "c.csv")]) == 0
     # each bound once, at most ceil(log2(LATTICE_LIMIT)) + 1 of them:
@@ -449,16 +449,21 @@ OUT_DIR = "out-dir"
       OUT_DIR], "Is a directory"),
     (["solve", "--polyhedron", "cube", "--resolution", str(10 ** 400),
       "--num-eigs", "3"], "resolution must be an integer from 1 to"),
-    # the orbit is admissible, but its frequencies exceed the float range
+    # the orbit passes every lattice rule, but its eigenvalue exceeds the
+    # float range; at 10**200 the frequencies alone would still fit a float
     (["analytic", "--polyhedron", "octahedron", "--eval", "--type", "+-",
       "--orbit", f"{10 ** 400},0", "--grid", "4"],
-     "int too large to convert to float"),
+     "eigenvalue must be a finite float"),
+    (["analytic", "--polyhedron", "octahedron", "--eval", "--type", "+-",
+      "--orbit", f"{10 ** 200},0", "--grid", "4"],
+     "eigenvalue must be a finite float"),
 ], ids=["tol_nan", "num_eigs_0", "slice_index_99", "slice_index_negative",
         "slice_samples_1", "eval_grid_1", "orbit_one_number", "nmax_nan",
         "count_samples_1", "count_tmax_1e160", "count_samples_huge",
         "eval_grid_huge", "eval_without_type", "analytic_without_nmax",
         "csv_bad_header", "count_exact_cube", "count_one_pair",
-        "out_is_directory", "resolution_huge", "orbit_huge"])
+        "out_is_directory", "resolution_huge", "orbit_huge",
+        "orbit_1e200"])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, args,
                                              message):
     out = tmp_path / "o.csv"
