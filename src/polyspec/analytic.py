@@ -327,14 +327,22 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
     case, j = 0 and j = k the two nongeneric ones.  The type's two mirror
     signs fix the terms and waveform, the cube's parity rule (k and j both
     even iff the signs agree, else both odd) and the nongeneric exclusions
-    (orbits whose character sum vanishes).  Raises InadmissibleOrbitError
-    naming the violated rule otherwise, or unless the orbit is exactly two
-    integers whose eigenvalue lambda_value is a finite float.
+    (orbits whose character sum vanishes); the orbit must be exactly two
+    integers whose eigenvalue lambda_value is a finite float.  Raises
+    InadmissibleOrbitError naming the violated rule.
     """
     if len(orbit) != 2 or any(x % 1 != 0 for x in orbit):  # inf % 1 is nan
-        raise InadmissibleOrbitError(
-            f"orbit must be two integers (k, j), got {tuple(orbit)}")
+        raise InadmissibleOrbitError("orbit must be two integers (k, j)")
     k, j = int(orbit[0]), int(orbit[1])
+    # first, so that no message formats an int past str()'s 4300 digits
+    f = TrigEigenfunction(kind, sym_type, (k, j), (), "", ())
+    try:
+        finite = math.isfinite(f.lambda_value)
+    except OverflowError:                   # an int beyond the float range
+        finite = False
+    if not finite:
+        raise InadmissibleOrbitError(
+            "orbit (k, j) too large: its eigenvalue must be a finite float")
     if not k >= j >= 0:
         raise InadmissibleOrbitError(
             f"orbit must satisfy k >= j >= 0, got ({k}, {j})")
@@ -359,16 +367,8 @@ def build_trig_eigenfunction(kind: PolyhedronKind, sym_type: SymmetryType,
             f"nongeneric {'cube ' if cube else ''}orbit ({k}, {j}) has no "
             f"{sym_type.value} eigenfunction")
     signs, waveform, coeffs = made
-    f = TrigEigenfunction(kind=kind, sym_type=sym_type, orbit=(k, j),
-                          signs=tuple(signs), waveform=waveform,
-                          coeffs=tuple(coeffs))
-    try:
-        if math.isfinite(f.lambda_value):
-            return f
-    except OverflowError:                   # an int beyond the float range
-        pass
-    raise InadmissibleOrbitError(
-        "orbit (k, j) too large: its eigenvalue must be a finite float")
+    return replace(f, signs=tuple(signs), waveform=waveform,
+                   coeffs=tuple(coeffs))
 
 
 def enlarge(f: TrigEigenfunction) -> TrigEigenfunction:

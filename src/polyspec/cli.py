@@ -106,12 +106,11 @@ def _cmd_analytic(args) -> int:
         ys = [v[1] for face in net.faces for v in face.vertices]
         gx = np.linspace(min(xs), max(xs), args.grid)
         gy = np.linspace(min(ys), max(ys), args.grid)
+        pts = np.column_stack([a.ravel() for a in np.meshgrid(gx, gy)])
+        vals = analytic.evaluate(f, pts, check_domain=False)
         rows = ["x,y,value"]
-        for y in gy:
-            pts = np.column_stack([gx, np.full_like(gx, y)])
-            vals = analytic.evaluate(f, pts, check_domain=False)
-            rows.extend(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}"
-                        for x, v in zip(gx, vals))
+        rows.extend(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}"
+                    for (x, y), v in zip(pts, vals))
         _atomic_write(args.out, "\n".join(rows) + "\n")
         return 0
     if args.nmax is None:

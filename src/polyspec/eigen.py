@@ -9,27 +9,29 @@ symmetry sectors of about n/4 or n/8 DOFs (see symmetry.sector_plan).  Sectors
 that a symmetry maps onto each other have the same spectrum, so that solver
 runs once per orbit of conjugate sectors (2 of 4 on the tetrahedron, 4 of 8
 on the octahedron, the icosahedron and, at even resolution, the cube), and
-each pair found is lifted into every sector of its orbit by a DOF
-permutation; each sector's first ask covers what it needs at typical m, so
-each is usually solved once.  The cube at odd resolution, a copy of K, a
-matrix built any other way, or data edited out of invariance is solved
-whole.  dense_solve is the full-spectrum direct oracle for small
-problems.  Both return M-normalized eigenvectors with a deterministic sign
-convention; solve_lowest checks the residual contract in the full pencil,
-copied pairs included.
+each pair found is lifted once and placed into every sector of its orbit,
+as is or through a DOF permutation; each sector's first ask covers what it
+needs at typical m, so each is usually solved once.  The cube at odd
+resolution, a copy of K, a matrix built any other way, or data edited out of
+invariance is solved whole.  dense_solve is the full-spectrum direct oracle
+for small problems.  Both return M-normalized eigenvectors with a
+deterministic sign convention; solve_lowest checks the residual contract in
+the full pencil, copied pairs included.
 
 On a host with more than one usable CPU and fork, the representative
 sectors of a large pencil are solved in worker processes, at most one per
-CPU and sector.  Each worker inherits the sectors and the parent's BLAS
-thread setting, and runs the same solve on the same data; the merge, lift
-and checks stay in the parent, so the output is byte-identical for any
-number of usable CPUs.  The workers' memory is their own: the parent's
-peak RSS does not include it (see RUSAGE_CHILDREN).
+CPU and sector; one loop collects every sector's solve, as a call that a
+worker has started or that the parent runs.  Each worker inherits the
+sectors and the parent's BLAS thread setting, and runs the same solve on the
+same data; the merge, lift and checks stay in the parent, so the output is
+byte-identical for any number of usable CPUs.  The workers' memory is their
+own: the parent's peak RSS does not include it (see RUSAGE_CHILDREN).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import multiprocessing
 import os
@@ -212,13 +214,14 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     merge is certified once every sector is exhausted or its largest
     computed value exceeds the merged m-th value; a sector that is neither
     is solved again for twice as many pairs.  That is a fallback: at m=200
-    on r=32 meshes, for example, no sector needs it.  Of the merged pairs,
-    only the m lowest are lifted: by v = B y in the representative, and by
-    moving v through the DOF permutation in each conjugate sector.
+    on r=32 meshes, for example, no sector needs it.
 
-    With a pool (see _pool), workers run the solves, largest sector first.
-    Either way the results, and a failure's applications plus those of the
-    runs before it, are taken in sector order.
+    Each round maps every sector to solve onto a call that returns its
+    solve; with a pool (see _pool) a worker starts it at once, largest
+    sector first, else the parent runs it when called.  Either way results,
+    and a failure's applications plus those of the runs before it, are taken
+    in sector order.  Only the m lowest merged pairs are lifted, as B y put
+    at p: all DOFs (slice(None)) in a sector, its DOF permutation in a copy.
     """
     sizes = [s.basis.shape[1] for s in sectors]
     want = []
@@ -230,19 +233,16 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     applications = 0
     todo = [i for i, size in enumerate(sizes) if size]
     pool = _pool(sectors, [sizes[i] for i in todo])
+    start = ((lambda *args: functools.partial(_sector_lowest, sectors, *args))
+             if pool is None else
+             lambda *args: pool.submit(_inherited_lowest, *args).result)
     try:
         while todo:
-            if pool is not None:
-                futures = {i: pool.submit(_inherited_lowest, i, want[i], seed,
-                                          maxiter)
-                           for i in sorted(todo, key=lambda i: -sizes[i])}
+            runs = {i: start(i, want[i], seed, maxiter)
+                    for i in sorted(todo, key=lambda i: -sizes[i])}
             for i in todo:
                 try:
-                    if pool is None:
-                        vals, vecs, used = _sector_lowest(sectors, i, want[i],
-                                                          seed, maxiter)
-                    else:
-                        vals, vecs, used = futures[i].result()
+                    vals, vecs, used = runs[i]()
                 except NoConvergenceError as exc:
                     raise NoConvergenceError(
                         str(exc), iterations=applications + exc.iterations,
@@ -259,19 +259,15 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    # entry e of merged is column j of sector i's copy k (0: the sector)
-    entries = [(i, k, j) for i, (vals, _) in found.items()
-               for k in range(1 + len(sectors[i].copies))
+    # entry e of merged is column j of sector i, placed at p
+    entries = [(i, p, j) for i, (vals, _) in found.items()
+               for p in [slice(None), *sectors[i].copies]
                for j in range(len(vals))]
     order = np.argsort(merged, kind="stable")[:m]
     vecs = np.empty((n, m), order="F")
     for col, e in enumerate(order):
-        i, k, j = entries[e]
-        v = sectors[i].basis @ found[i][1][:, j]
-        if k:
-            vecs[sectors[i].copies[k - 1], col] = v
-        else:
-            vecs[:, col] = v
+        i, p, j = entries[e]
+        vecs[p, col] = sectors[i].basis @ found[i][1][:, j]
     return merged[order], vecs, applications
 
 

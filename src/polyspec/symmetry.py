@@ -267,15 +267,15 @@ def is_invariant(A, perm) -> bool:
     return _invariant(A, _conjugation(A, perm))
 
 
-def sector_bases(perms, n: int, characters=None) -> list:
-    """One sparse n-by-n_chi basis per character of the group perms generate.
+def sector_bases(perms, n: int, characters) -> list:
+    """One sparse n-by-n_chi basis per listed character, in that order.
 
-    Character c takes the value (-1)^popcount(b & c) on the element that
-    composes the generators in bitmask b.  Its basis has one column per
-    orbit (ordered by smallest DOF) whose stabilizer c is trivial on; the
-    column is +-1 on the orbit, with sign c(h) at h(smallest DOF).  The
-    column counts sum to n.  characters, if given, lists the characters
-    whose bases are returned, in that order; by default all are.
+    The characters are those of the group perms generate: character c takes
+    the value (-1)^popcount(b & c) on the element that composes the
+    generators in bitmask b.  Its basis has one column per orbit (ordered by
+    smallest DOF) whose stabilizer c is trivial on; the column is +-1 on the
+    orbit, with sign c(h) at h(smallest DOF).  Over all 2^len(perms)
+    characters the column counts sum to n.
     """
     images = [np.arange(n)]
     for g in perms:
@@ -286,7 +286,7 @@ def sector_bases(perms, n: int, characters=None) -> list:
     carrier = (images[:, rep] == np.arange(n)).argmax(axis=0)
     stabilizes = images[:, orbit] == orbit             # (|H|, orbits)
     bases = []
-    for c in range(len(images)) if characters is None else characters:
+    for c in characters:
         odd = np.array([bin(b & c).count("1") % 2
                         for b in range(len(images))], dtype=bool)
         sign = np.where(odd, -1.0, 1.0)

@@ -293,6 +293,23 @@ def test_orbit_must_be_two_integers_with_a_finite_eigenvalue(kind, sym, orbit,
         ps.build_trig_eigenfunction(kind, sym, orbit)
 
 
+@pytest.mark.parametrize("kind, sym, orbit", [
+    # each rule's message formatted these entries, and str() refuses an int
+    # of more than 4300 digits with ValueError
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (0, 10**5000)),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (-10**5000, 0)),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (10**5000, 1)),
+    (PolyhedronKind.CUBE, ST.PP, (10**5000 + 1, 0)),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (10**5000, 0.5)),
+    (PolyhedronKind.OCTAHEDRON, ST.PM, (10**5000,)),
+], ids=["k_below_j", "negative_k", "odd_j", "cube_parity", "half_j",
+        "one_entry"])
+def test_huge_orbits_are_rejected_without_printing_them(kind, sym, orbit):
+    with pytest.raises(ps.InadmissibleOrbitError) as info:
+        ps.build_trig_eigenfunction(kind, sym, orbit)
+    assert len(str(info.value)) < 100
+
+
 def test_large_orbits_with_a_finite_eigenvalue_are_built():
     f = ps.build_trig_eigenfunction(PolyhedronKind.OCTAHEDRON, ST.PM,
                                     (10**150, 0))

@@ -299,6 +299,32 @@ def test_worker_pool_is_bit_for_bit_the_in_process_loop(kind, bench, pools,
 
 
 @needs_fork
+def test_a_resolve_round_through_the_pool_is_the_in_process_loop(
+        bench, pools, monkeypatch):
+    # 8,194 representative DOFs, past _POOL_DOFS; at m=150 the symmetric
+    # sector is solved a second time, for twice its first ask
+    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 64)
+    pooled = ps.solve_lowest(K, M, 150, seed=1)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 1)
+    solve = ps.eigen._sector_lowest
+    asks = []
+
+    def counted(sectors, i, m, *args):
+        asks.append((i, m))
+        return solve(sectors, i, m, *args)
+
+    monkeypatch.setattr(ps.eigen, "_sector_lowest", counted)
+    alone = ps.solve_lowest(K, M, 150, seed=1)
+    assert pools[0] is not None and pools[1:] == [None]
+    assert asks == [(0, 25), (1, 24), (2, 23), (3, 22), (0, 50)]
+    assert len(pooled) == len(alone) == 150
+    for a, b in zip(pooled, alone):
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert a.vector.tobytes() == b.vector.tobytes()
+
+
+@needs_fork
 def test_worker_failure_reports_like_the_in_process_loop(bench, pools,
                                                          monkeypatch):
     K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)

@@ -364,7 +364,7 @@ def test_sector_bases_split_the_dofs(kind, r, bench):
     n = mesh.dof_count
     gens = sector_generators(kind)
     perms = [sym.dof_permutation(mesh, g) for g in gens]
-    bases = sym.sector_bases(perms, n)
+    bases = sym.sector_bases(perms, n, range(1 << len(perms)))
     sizes = [B.shape[1] for B in bases]
     assert len(bases) == GROUPS[kind][1]
     assert sum(sizes) == n
@@ -479,7 +479,7 @@ def test_conjugate_sectors_share_the_spectrum(kind, r, bench):
     plan = sym.sector_plan(kind)
     conjugators = elements(kind, plan.conjugators)
     perms = [sym.dof_permutation(mesh, g) for g in sector_generators(kind)]
-    bases = sym.sector_bases(perms, n)
+    bases = sym.sector_bases(perms, n, range(1 << len(perms)))
     sectors = sym.split(K, M)
     assert [s.character for s in sectors] == [o[0] for o in plan.orbits]
 
