@@ -4,35 +4,32 @@ solve_lowest targets the m smallest eigenvalues with shift-invert Lanczos
 (ARPACK via scipy), seeded for reproducibility; K - sigma M is factored once
 with a symmetric minimum-degree ordering and every Lanczos step reuses that
 factor.  A K returned by fem.assemble carries its mesh.  If K and M are
-invariant under the mesh's symmetry permutations, the pencil splits into
-symmetry sectors of about n/4 or n/8 DOFs (see symmetry.sector_plan).  Sectors
-that a symmetry maps onto each other have the same spectrum, so that solver
-runs once per orbit of conjugate sectors (2 of 4 on the tetrahedron, 4 of 8
-on the octahedron, the icosahedron and, at even resolution, the cube), and
-each pair found is lifted once and placed into every sector of its orbit,
-as is or through a DOF permutation; each sector's first ask covers what it
-needs at typical m, so each is usually solved once.  The cube at odd
-resolution, a copy of K, a matrix built any other way, or data edited out of
-invariance is solved whole.  dense_solve is the full-spectrum direct oracle
-for small problems.  Both return M-normalized eigenvectors with a
-deterministic sign convention; solve_lowest checks the residual contract in
-the full pencil, copied pairs included.
+invariant under the mesh's symmetry permutations, the pencil splits into one
+sector per irreducible representation of the symmetry group (see
+symmetry.split), about 0.27n DOFs in all on the icosahedron and 0.42n on the
+other kinds.  Each value a sector finds belongs to a d-dimensional irrep and
+occurs d times; its pair is lifted to the d partner eigenvectors, and each
+sector's first ask covers what it needs at typical m, so each is usually
+solved once.  The cube at odd resolution, a copy of K, a matrix built any
+other way, or data edited out of invariance is solved whole.  dense_solve is
+the full-spectrum direct oracle for small problems.  Both return
+M-normalized eigenvectors with a deterministic sign convention; solve_lowest
+checks the residual contract in the full pencil, partners included.
 
-On a host with more than one usable CPU and fork, the representative
-sectors of a large pencil are solved in worker processes, at most one per
-CPU and sector; one loop collects every sector's solve, as a call that a
-worker has started or that the parent runs.  Each worker inherits the
-sectors and the parent's BLAS thread setting, and runs the same solve on the
-same data; the merge, lift and checks stay in the parent, so the output is
-byte-identical for any number of usable CPUs.  The workers' memory is their
-own: the parent's peak RSS does not include it (see RUSAGE_CHILDREN).
+On a host with more than one usable CPU and fork, the sectors of a large
+pencil are solved in worker processes, at most one per CPU and sector; one
+loop collects every sector's solve, as a call that a worker has started or
+that the parent runs.  Each worker inherits the sectors and the parent's
+BLAS thread setting, and runs the same solve on the same data; the merge,
+lift and checks stay in the parent, so the output is byte-identical for any
+number of usable CPUs.  The workers' memory is their own: the parent's peak
+RSS does not include it (see RUSAGE_CHILDREN).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -48,14 +45,13 @@ from .errors import DimensionTooLargeError, NoConvergenceError
 _DENSE_GUARD = 2000
 _SHIFT = -1e-2
 # pairs a sector computes beyond its share of m, so that the merge is usually
-# certified without solving a sector twice; the symmetric sector asks for
-# ceil(sqrt(share)) instead where that is larger (see _lowest_by_sector)
+# certified without solving a sector twice (see _lowest_by_sector)
 _SECTOR_MARGIN = 4
 # fewest DOFs, summed over the sectors to solve, that go to worker processes;
-# on 2 CPUs with 1 BLAS thread the pool took 1.18x the in-process time on the
-# octahedron at r=48, m=200 (4,610 DOFs), 0.67x on the cube at r=32, m=200
-# (6,146) and 0.91x on the octahedron at r=64, m=50 (8,194), and below this
-# bound it raised the benchmark's count_window peak RSS from 130 to 134 MB
+# on 2 CPUs with 1 BLAS thread the pool took 1.18x the in-process time with
+# 4,610 such DOFs, 0.67x with 6,146 and 0.91x with 8,194 (the abelian
+# sectors that preceded the irreps), and below this bound it raised the
+# benchmark's count_window peak RSS from 130 to 134 MB
 _POOL_DOFS = 8000
 
 
@@ -156,10 +152,9 @@ def _lowest(K, M, m, v0, maxiter):
 
 
 def _sector_lowest(sectors, i, m, seed, maxiter):
-    """_lowest on sector i, from the start vector seeded by its character."""
+    """_lowest on sector i, from the start vector seeded by its irrep."""
     s = sectors[i]
-    v0 = np.random.default_rng([seed, s.character]).standard_normal(
-        s.basis.shape[1])
+    v0 = np.random.default_rng([seed, s.irrep]).standard_normal(s.K.shape[0])
     return _lowest(s.K, s.M, m, v0, maxiter)
 
 
@@ -202,33 +197,26 @@ def _pool(sectors, sizes):
 def _lowest_by_sector(sectors, n, m, seed, maxiter):
     """The m lowest pairs of the sector pencils, merged and lifted.
 
-    Only one sector per orbit of conjugate sectors is solved; every value it
-    finds counts once per sector in its orbit.  Sector i of size n_i first
-    asks for its share s_i = ceil(m n_i / n) plus _SECTOR_MARGIN pairs; the
-    symmetric sector (character 0) asks for s_i + max(_SECTOR_MARGIN,
-    ceil(sqrt(s_i))).  Where H holds reflections (on every kind but the
-    tetrahedron) their mirror lines act as Neumann walls for that sector, so
-    its count runs ahead of its share by a Weyl boundary term that grows
-    like the square root of the share: 5 pairs at s_i = 28 on the
-    octahedron at r=32, m=200.  Below s_i = 17 the margin covers it.  The
-    merge is certified once every sector is exhausted or its largest
-    computed value exceeds the merged m-th value; a sector that is neither
-    is solved again for twice as many pairs.  That is a fallback: at m=200
-    on r=32 meshes, for example, no sector needs it.
+    Each sector is the first row of one irrep of dimension d, and every value
+    it finds counts d times.  Sector i of size n_i first asks for its share
+    ceil(m n_i / n) plus _SECTOR_MARGIN pairs.  The merge is certified once
+    every sector is exhausted or its largest computed value exceeds the
+    merged m-th value; a sector that is neither is solved again for twice as
+    many pairs.  That is a fallback: no sector needs it at m=200 on r=32
+    meshes or on the icosahedron at r=128, m=50; the tetrahedron at r=128,
+    m=200 solves two of its five sectors twice, one for a value that ties
+    with the merged m-th to rounding.
 
     Each round maps every sector to solve onto a call that returns its
-    solve; with a pool (see _pool) a worker starts it at once, largest
-    sector first, else the parent runs it when called.  Either way results,
-    and a failure's applications plus those of the runs before it, are taken
-    in sector order.  Only the m lowest merged pairs are lifted, as B y put
-    at p: all DOFs (slice(None)) in a sector, its DOF permutation in a copy.
+    solve; with a pool (see _pool) a worker starts it at once, the sector
+    with the most nonzeros in K first, else the parent runs it when called.
+    Either way results, and a failure's applications plus those of the runs
+    before it, are taken in sector order.  Only the m lowest merged pairs
+    are lifted, each value's d partners side by side (Sector.partners).
     """
-    sizes = [s.basis.shape[1] for s in sectors]
-    want = []
-    for s, size in zip(sectors, sizes):
-        share = -(-m * size // n)
-        extra = math.ceil(math.sqrt(share)) if s.character == 0 else 0
-        want.append(min(size, share + max(_SECTOR_MARGIN, extra)))
+    sizes = [s.K.shape[0] for s in sectors]
+    dims = [s.rho.shape[1] for s in sectors]
+    want = [min(size, -(-m * size // n) + _SECTOR_MARGIN) for size in sizes]
     found = {}
     applications = 0
     todo = [i for i, size in enumerate(sizes) if size]
@@ -239,7 +227,7 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     try:
         while todo:
             runs = {i: start(i, want[i], seed, maxiter)
-                    for i in sorted(todo, key=lambda i: -sizes[i])}
+                    for i in sorted(todo, key=lambda i: -sectors[i].K.nnz)}
             for i in todo:
                 try:
                     vals, vecs, used = runs[i]()
@@ -249,7 +237,7 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
                         worst_residual=None) from exc
                 applications += used
                 found[i] = (vals, vecs)
-            merged = np.concatenate([np.tile(vals, 1 + len(sectors[i].copies))
+            merged = np.concatenate([np.repeat(vals, dims[i])
                                      for i, (vals, _) in found.items()])
             top = np.sort(merged)[m - 1]
             todo = [i for i, (vals, _) in found.items()
@@ -259,15 +247,17 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    # entry e of merged is column j of sector i, placed at p
-    entries = [(i, p, j) for i, (vals, _) in found.items()
-               for p in [slice(None), *sectors[i].copies]
-               for j in range(len(vals))]
+    # entry e of merged is partner p of column j of sector i
+    entries = [(i, j, p) for i, (vals, _) in found.items()
+               for j in range(len(vals)) for p in range(dims[i])]
     order = np.argsort(merged, kind="stable")[:m]
     vecs = np.empty((n, m), order="F")
+    lifted = None
     for col, e in enumerate(order):
-        i, p, j = entries[e]
-        vecs[p, col] = sectors[i].basis @ found[i][1][:, j]
+        i, j, p = entries[e]
+        if lifted != (i, j):
+            lifted, partners = (i, j), sectors[i].partners(found[i][1][:, j])
+        vecs[sectors[i].images, col] = partners[..., p]
     return merged[order], vecs, applications
 
 
@@ -276,11 +266,10 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     """The m smallest eigenpairs of K u = lambda M u, sorted ascending.
 
     A K from assemble carries its mesh; if K and M are invariant under the
-    mesh's symmetry permutations, one symmetry sector per orbit of conjugate
-    sectors is solved on its own (see polyspec.symmetry), and its pairs are
-    merged and lifted once per sector in the orbit.  Any other pencil is
-    solved whole.  Either way the residual contract is checked in
-    the full pencil.
+    mesh's symmetry permutations, one sector per irreducible representation
+    is solved on its own (see polyspec.symmetry), and its pairs are merged
+    and lifted to their partners.  Any other pencil is solved whole.  Either
+    way the residual contract is checked in the full pencil.
 
     Parameters
     ----------
@@ -300,10 +289,9 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
     NoConvergenceError
         If the residual contract cannot be met within the iteration budget;
         its ``iterations`` counts the shift-invert operator applications,
-        summed over the sectors actually solved so far (one per orbit of
-        conjugate sectors; the others are never solved).  Runs count in
-        sector order, up to and including the one that failed, also when
-        worker processes ran them at once.
+        summed over the sector solves so far.  Runs count in sector order,
+        up to and including the one that failed, also when worker processes
+        ran them at once.
     DimensionTooLargeError
         If m leaves a pencil or sector above 2000 DOFs to the dense path.
     """

@@ -22,9 +22,9 @@ class NoConvergenceError(PolyspecError):
 
     ``iterations`` is the number of operator applications (solves with the
     factored K - sigma M) made before the failure, summed over the Lanczos
-    runs so far.  On the symmetry-sector path those are the runs of the
-    sectors actually solved, one per orbit of conjugate sectors; the other
-    sectors are copied and add nothing.
+    runs so far.  On the symmetry-sector path those are the sector solves,
+    one per irreducible representation and round; the partners that a
+    sector's pairs lift to add nothing.
     """
 
     def __init__(self, message, iterations=None, worst_residual=None):

@@ -6,21 +6,18 @@ net's faces onto faces map the refined grid onto itself, hence permute its
 degrees of freedom.  They map elements onto elements too, so that K and M
 commute with them, on the triangle kinds at every resolution and on the cube
 at even resolution (see mesh._element_template); at odd resolution split
-finds the cube's pencil not invariant, and it is solved whole.  An elementary
-abelian 2-subgroup H of them has 2^k sign characters, and the DOF space
-splits M- and K-orthogonally into one invariant sector per character
-(Bossavit, CMAME 56, 1986; Fassler & Stiefel, Group Theoretical Methods and
-Their Applications, 1992).  Each sector has a basis B of +-1 columns, one per
-H-orbit of DOFs whose stabilizer the character is trivial on, so the pencil
-splits into the 2^k independent pencils (B^T K B, B^T M B).
+finds the cube's pencil not invariant, and it is solved whole.
 
-The normalizer N of H permutes its characters: an element n of N carries
-sector chi onto sector h -> chi(n^-1 h n).  Sectors in one N-orbit of
-characters therefore have the same spectrum, and the eigenvectors of one are
-those of the orbit's representative, moved by n's DOF permutation.  split
-returns the representatives only, each with the permutations onto its
-conjugates.  It checks K and M under two generators of the label group G;
-sector_plan reads these, H and N's orbits off one product table of G.
+The DOF space splits M- and K-orthogonally by the irreducible representations
+(irreps) rho of the label group G, all of them real here (Bossavit, CMAME 56,
+1986; Fassler & Stiefel, Group Theoretical Methods and Their Applications,
+1992).  A d-dimensional rho gives d sectors, one per row of rho, on which K
+and M act alike.  split returns the first row's sector of every irrep, read
+off one row of K and M per G-orbit of DOFs; each eigenvalue of it occurs d
+times in the whole pencil, and rho's matrices lift each eigenvector to its d
+partners.  split checks K and M under two generators of G: sector_plan gives
+them, and the tree along which every element composes from them, off one
+product table of G; _irreps gives the matrices of every rho.
 """
 
 from __future__ import annotations
@@ -29,7 +26,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as dla
 import scipy.sparse as sparse
+from scipy.sparse import csgraph
 
 from .mesh import SurfaceMesh, face_grid, grid_index
 from .net import PolyhedronKind, build_net
@@ -112,87 +111,69 @@ def _tree(rows, gens) -> dict:
     return tree
 
 
-def _scan(rows, elements) -> tuple:
-    """The involutions taken in order from elements: each that commutes with
-    those already taken and lies outside their span."""
-    gens, span = (), {0}
-    for g in elements:
-        if (g not in span and rows[g][g] == 0
-                and all(rows[g][h] == rows[h][g] for h in gens)):
-            gens += (g,)
-            span |= {rows[g][h] for h in span}
-    return gens
-
-
 class SectorPlan(NamedTuple):
-    """What split needs of label_group, each element as its index there.
+    """G's first spanning pair in group order, as indices of label_group.
 
-    pair is G's first spanning pair in group order; tree[x] is (i, y) with
-    x = pair[i]∘y, or None at the identity.  sector_gens generate H.  orbits
-    holds the orbits of H's characters under the normalizer N of H, each led
-    by its smallest character, its representative, and in order of those;
-    conjugators[c] is an element of N that carries the sector of c's
-    representative onto sector c (the identity for a representative).
-    Characters are numbered as in sector_bases.
+    tree[x] is (i, y) with x = pair[i]∘y, or None at the identity.
     """
 
     pair: tuple
     tree: tuple
-    sector_gens: tuple
-    orbits: tuple
-    conjugators: tuple
 
 
 @lru_cache(maxsize=None)
 def sector_plan(kind: PolyhedronKind) -> SectorPlan:
-    """G's spanning pair, the sector group H and N's orbits on its characters.
+    """G's first spanning pair and the tree that composes G from it."""
+    rows = _table(kind).tolist()
+    pair = next((a, b) for a in range(1, len(rows)) for b in range(len(rows))
+                if len(_tree(rows, (a, b))) == len(rows))
+    return SectorPlan(pair, tuple(map(_tree(rows, pair).get,
+                                      range(len(rows)))))
 
-    H is a largest elementary abelian 2-subgroup of G.  One scan in group order
-    takes each involution that commutes with those already taken and lies
-    outside their span; on the four label groups this reaches the largest rank:
-    2 on the tetrahedron, 3 on the others.  A normal H is made of involutions
-    that commute with all their conjugates n^-1 g n; if these form a group of
-    that rank, hence a normal one, the same scan over them gives H instead, so
-    that all of G permutes the sectors.  That is the Klein group of the
-    tetrahedron's double transpositions and the three coordinate reflections of
-    the octahedron (which the scan finds already) and the cube: N = G, with
-    orbit sizes 1, 3 and 1, 3, 3, 1, so 2 of 4 and 4 of 8 sectors are solved.
-    The icosahedron's only normal one is the central inversion, so it keeps the
-    scan's H of rank 3; its N has order 24, with orbit sizes 1, 3, 3, 1.  split
-    checks and composes along G's pair, not generators of N.
+
+@lru_cache(maxsize=None)
+def _irreps(kind: PolyhedronKind) -> tuple:
+    """Every real irreducible representation of label_group, once each.
+
+    Each is a read-only (|G|, d, d) array of orthogonal matrices with
+    rho[table[a, b]] = rho[a] @ rho[b].  A random symmetric element
+    Z = sum_g c_g (P_g + P_g^T) of the right group algebra (P_g e_h = e_{h∘g})
+    commutes with the left regular representation R (R_x e_h = e_{x∘h}), so
+    each of its eigenspaces Q is, for a generic c, one irreducible copy of
+    dimension its multiplicity, and rho[x] = Q^T R_x Q.  One eigenspace is kept
+    per character.  Every irrep of these four groups is real, so this finds
+    them all: their dimensions squared sum to |G|.  Ordered by dimension,
+    then by character, largest first; the trivial representation leads.
     """
     table = _table(kind)
-    rows, order = table.tolist(), len(table)
-    pair = next((a, b) for a in range(1, order) for b in range(order)
-                if len(_tree(rows, (a, b))) == order)
+    order = len(table)
+    Z = np.zeros((order, order))
+    Z[table, np.arange(order)[:, None]] = \
+        np.random.default_rng(0).standard_normal(order)
+    values, vectors = dla.eigh(Z + Z.T)
+    starts = np.r_[0, np.flatnonzero(
+        np.diff(values) > 1e-8 * np.abs(values).max()) + 1]
+    # a character is constant on conjugacy classes, so it is read at each
+    # class's first element: the trace of R_x on eigenspace Q is
+    # sum_h Q[x∘h] . Q[h]
     inverse = np.argmin(table, axis=1)      # row a holds 0 at a^-1
-    conj = table[inverse[:, None], table.T]     # [n, g] is n^-1 g n
-    ids = np.arange(order)      # commutes[g]: g commutes with each n^-1 g n
-    commutes = (table[ids, conj] == table[conj, ids]).all(axis=0)
-    normal = np.flatnonzero((table[ids, ids] == 0) & commutes).tolist()
-    gens = _scan(rows, range(order))
-    # closed under composition, involutions form an elementary abelian group
-    if len(_tree(rows, normal)) == len(normal) == 2 ** len(gens):
-        gens = _scan(rows, normal)
-    bit = {0: 0}                        # element of H: the gens it composes
-    for i, g in enumerate(gens):
-        bit.update({rows[g][h]: b | 1 << i for h, b in bit.items()})
-    # masks[n][i] is the bitmask of n^-1 g_i n, None outside H
-    masks = [[bit.get(x) for x in row] for row in conj[:, list(gens)].tolist()]
-    orbits, conjugators = [], [None] * len(bit)
-    for c in range(len(bit)):
-        if conjugators[c] is None:
-            orbit = {}
-            # n is in N when each n^-1 g_i n is in H; it carries chi_c onto
-            # h -> chi_c(n^-1 h n), whose bit i is chi_c's sign on n^-1 g_i n
-            for n, bits in enumerate(masks):    # the identity first
-                if None not in bits:
-                    orbit.setdefault(sum(((b & c).bit_count() & 1) << i
-                                         for i, b in enumerate(bits)), n)
-            orbits.append(tuple(orbit))
-            conjugators = [orbit.get(d, n) for d, n in enumerate(conjugators)]
-    return SectorPlan(pair, tuple(map(_tree(rows, pair).get, range(order))),
-                      gens, tuple(orbits), tuple(conjugators))
+    first = np.unique(table[inverse[:, None], table.T].min(axis=0))
+    traces = np.array([np.einsum("hk,hk->k", vectors[row], vectors)
+                       for row in table[first]])
+    found = {}
+    for character, a, b in zip(np.add.reduceat(traces, starts, axis=1).T,
+                                starts, np.r_[starts[1:], order]):
+        found.setdefault(tuple(character.round(6)), vectors.T[a:b])
+    irreps = []
+    for _, Q in sorted(found.items(), key=lambda item: (
+            len(item[1]), [-x for x in item[0]])):
+        # rho[x] = Q^T R_x Q, entry [a, b] = sum_h Q[x∘h, a] Q[h, b]
+        rho = Q[:, table].transpose(1, 0, 2) @ Q.T
+        rho.flags.writeable = False
+        irreps.append(rho)
+    assert sum(len(rho[0]) ** 2 for rho in irreps) == order, \
+        "an irreducible representation was missed"
+    return tuple(irreps)
 
 
 def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
@@ -267,78 +248,103 @@ def is_invariant(A, perm) -> bool:
     return _invariant(A, _conjugation(A, perm))
 
 
-def sector_bases(perms, n: int, characters) -> list:
-    """One sparse n-by-n_chi basis per listed character, in that order.
-
-    The characters are those of the group perms generate: character c takes
-    the value (-1)^popcount(b & c) on the element that composes the
-    generators in bitmask b.  Its basis has one column per orbit (ordered by
-    smallest DOF) whose stabilizer c is trivial on; the column is +-1 on the
-    orbit, with sign c(h) at h(smallest DOF).  Over all 2^len(perms)
-    characters the column counts sum to n.
-    """
-    images = [np.arange(n)]
-    for g in perms:
-        images += [g[h] for h in images]
-    images = np.array(images)                          # (|H|, n)
-    rep = images.min(axis=0)
-    orbit, col_of_rep = np.unique(rep, return_inverse=True)
-    carrier = (images[:, rep] == np.arange(n)).argmax(axis=0)
-    stabilizes = images[:, orbit] == orbit             # (|H|, orbits)
-    bases = []
-    for c in characters:
-        odd = np.array([bin(b & c).count("1") % 2
-                        for b in range(len(images))], dtype=bool)
-        sign = np.where(odd, -1.0, 1.0)
-        kept = ~(stabilizes & odd[:, None]).any(axis=0)
-        column = np.cumsum(kept) - 1
-        rows = np.flatnonzero(kept[col_of_rep])
-        bases.append(sparse.csr_matrix(
-            (sign[carrier[rows]], (rows, column[col_of_rep[rows]])),
-            shape=(n, int(kept.sum()))))
-    return bases
-
-
-def _project(A, first, sizes, B):
-    """B^T A B for an A invariant under the group, read off few rows of A.
-
-    Column o of B is +-1 on orbit o and +1 at the orbit's smallest DOF,
-    first[o].  For an invariant A, every row of A B on orbit o is that DOF's
-    row times its sign, so B^T A B = diag(sizes) (A B)[first]; the mean with
-    its transpose keeps the result exactly symmetric.
-    """
-    rows = A[first]
-    rows.data *= np.repeat(sizes, np.diff(rows.indptr))
-    S = rows @ B
-    S = S + S.T
-    S.data *= 0.5
-    return S
-
-
 class Sector(NamedTuple):
-    """One representative sector and the DOF permutations onto its conjugates.
+    """The pencil of the first row of one irrep rho, and its lift.
 
-    A pair (lambda, y) of the sector pencil (K, M) lifts to v = basis @ y;
-    its copy in the sector that perm (an entry of copies) leads to is the w
-    with w[perm] = v.
+    irrep indexes _irreps, and rho is that (|G|, d, d) array.  The sector's
+    vectors are the vectors whose value at DOF images[x, o], the image under
+    element x of orbit o's smallest DOF, is e_1^T rho[x] w_o, for w_o in the
+    span of rho's vectors fixed by o's stabilizer; U maps a sector vector c
+    onto the d-vectors w = (U c).reshape(orbits, d) that it stands for.
     """
 
-    character: int
-    basis: sparse.csr_matrix
+    irrep: int
+    rho: np.ndarray
+    U: sparse.csr_matrix
+    images: np.ndarray
     K: sparse.csr_matrix
     M: sparse.csr_matrix
-    copies: tuple
+
+    def partners(self, c) -> np.ndarray:
+        """The d partner vectors of sector vector c, an (|G|, orbits, d) array.
+
+        Entry [x, o, j] is partner j's value at DOF images[x, o]:
+        e_j^T rho[x] w_o.  Partner 0 is c's own vector.  For a pair of the
+        sector pencil the d partners are pairs of the whole pencil with the
+        same value, M-orthogonal to each other and of equal M-norm (Schur).
+        """
+        w = (self.U @ c).reshape(-1, self.rho.shape[1])
+        return w @ self.rho.transpose(0, 2, 1)
+
+
+def _fixed(rho, stabilizer) -> np.ndarray:
+    """A d-by-d matrix: an orthonormal basis of the vectors that every
+    rho[stabilizer] fixes, in its leading columns, and zeros after them."""
+    if stabilizer.sum() == 1:           # exact, and as sparse as it can be
+        return np.eye(rho.shape[1])
+    # the mean over the stabilizer projects onto its fixed vectors
+    values, vectors = dla.eigh(rho[stabilizer].mean(axis=0))
+    return vectors[:, ::-1] * (values[::-1] > 0.5)
+
+
+class _Blocks(NamedTuple):
+    """An invariant matrix's rows at the orbits' smallest DOFs, as blocks.
+
+    Entry A[x0(o), z] with z = images[h, o'] and o <= o' is h and value
+    |O_o| A[x0(o), z], sorted by (o, o'); block i, at (rows[i], cols[i]),
+    sums the entries from starts[i] on.  The blocks above the diagonal, at
+    above, are also transposed below it; order sorts all of them by row and
+    column, for BSR indices and indptr.
+    """
+
+    h: np.ndarray
+    value: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    above: np.ndarray
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _blocks(rows, orbit_of, carrier, size) -> _Blocks:
+    """_Blocks of the COO rows A[first], given each DOF's orbit and carrier
+    and the orbit sizes."""
+    o, p = rows.row, orbit_of[rows.col]
+    entries = np.flatnonzero(o <= p)
+    entries = entries[np.lexsort((p[entries], o[entries]))]
+    o, p = o[entries], p[entries]
+    starts = np.flatnonzero(np.diff(o, prepend=-1) | np.diff(p, prepend=-1))
+    o, p = o[starts], p[starts]
+    above = np.flatnonzero(o < p)
+    all_rows, all_cols = np.r_[o, p[above]], np.r_[p, o[above]]
+    order = np.lexsort((all_cols, all_rows))
+    return _Blocks(carrier[rows.col[entries]],
+                   (rows.data * size[rows.row])[entries], starts, o, p, above,
+                   order, all_cols[order],
+                   np.searchsorted(all_rows[order], np.arange(len(size) + 1)))
 
 
 def split(K, M):
-    """Representative sector pencils [Sector], or None to solve (K, M) whole.
+    """One sector pencil per irrep of G [Sector], or None to solve (K, M) whole.
 
     Only a K that assemble returned carries its mesh; any other matrix (a
-    copy, a test matrix) has none.  The sectors are returned, one per orbit
-    of conjugate characters and possibly empty, only if K and M are
-    invariant under both of sector_plan's pair, hence under all of G, which
-    contains H and every conjugator; this also rejects data edited in
-    place.  A pencil invariant under N but not G is solved whole.
+    copy, a test matrix) has none.  The sectors are returned, one per irrep
+    in the order of _irreps and possibly empty, only if K and M are
+    invariant under both of sector_plan's pair, hence under all of G; this
+    also rejects data edited in place.  A pencil invariant under a proper
+    subgroup only is solved whole.
+
+    The G-orbits of DOFs are the connected components of the pair's two
+    permutations.  For an invariant A, the row of any DOF is the row of its
+    orbit's smallest DOF x0, moved, so each sector pencil is read off those
+    rows alone: its (o, o') block is (|O_o| / d) sum_z A[x0(o), z] U_o^T
+    rho[h] U_o' over the z = images[h, o'], U_o the basis of the vectors
+    fixed by o's stabilizer.  Only the blocks with o <= o' are read; those
+    below the diagonal are the transposes of those above, and those on it
+    are averaged with their own, so each pencil is exactly symmetric.  A
+    d-by-d block per entry of those rows makes larger irreps' sectors denser.
     """
     mesh = getattr(K, "_mesh", None)
     n = K.shape[0]
@@ -346,22 +352,65 @@ def split(K, M):
             or not sparse.issparse(M) or M.shape != K.shape):
         return None
     K, M = K.tocsr(), M.tocsr()
-    plan = sector_plan(mesh.net.kind)
+    kind = mesh.net.kind
+    plan = sector_plan(kind)
     perm = _action(mesh)
+    gens = [perm(g) for g in plan.pair]
     shared = (np.array_equal(K.indptr, M.indptr)
               and np.array_equal(K.indices, M.indices))
-    for g in plan.pair:
-        index = _conjugation(K, perm(g))
+    for g in gens:
+        index = _conjugation(K, g)
         if not (_invariant(K, index) and _invariant(
-                M, index if shared else _conjugation(M, perm(g)))):
+                M, index if shared else _conjugation(M, g))):
             return None
-    bases = sector_bases([perm(g) for g in plan.sector_gens], n,
-                         [orbit[0] for orbit in plan.orbits])
+    edges = sparse.csr_matrix((np.ones(2 * n), np.column_stack(gens).ravel(),
+                               np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    label = csgraph.connected_components(edges, directed=False)[1]
+    first = np.full(label.max() + 1, n)
+    np.minimum.at(first, label, np.arange(n))
+    first.sort()
+    orbits = len(first)
+    reached = {0: first}
+
+    def image(x):                       # of first, along the tree
+        if x not in reached:
+            i, y = plan.tree[x]
+            reached[x] = gens[i][image(y)]
+        return reached[x]
+
+    images = np.array([image(x) for x in range(len(plan.tree))])
+    # each DOF's orbit, and an element that takes the orbit's smallest DOF
+    # to it: of several (a stabilizer), the last written, which moves only
+    # rounding
+    owner = np.empty(n, dtype=np.int64)
+    owner[images.ravel()] = np.arange(images.size)
+    carrier, orbit_of = np.divmod(owner, orbits)
+    fixes = images == first             # [x, o]: x is in o's stabilizer
+    _, lead, kind_of = np.unique(np.packbits(fixes, axis=0).T, axis=0,
+                                 return_index=True, return_inverse=True)
+    stabilizer = fixes.sum(axis=0)
+    free, size = stabilizer == 1, len(images) / stabilizer     # size: |O_o|
+    blocks = [_blocks(A[first].tocoo(), orbit_of, carrier, size)
+              for A in (K, M)]
     sectors = []
-    for orbit, B in zip(plan.orbits, bases):
-        C = B.tocsc()
-        first, sizes = C.indices[C.indptr[:-1]], np.diff(C.indptr)
-        copies = tuple(perm(plan.conjugators[c]) for c in orbit[1:])
-        sectors.append(Sector(orbit[0], B, _project(K, first, sizes, B),
-                              _project(M, first, sizes, B), copies))
+    for irrep, rho in enumerate(_irreps(kind)):
+        d = rho.shape[1]
+        bases = np.array([_fixed(rho, fixes[:, o]) for o in lead])[kind_of]
+        keep = np.flatnonzero(bases.any(axis=1))    # slots o d + column
+        pencil = []
+        for b in blocks:
+            data = np.add.reduceat((b.value / d)[:, None, None] * rho[b.h],
+                                   b.starts)
+            o, p = b.rows, b.cols
+            k = np.flatnonzero(~(free[o] & free[p]))
+            data[k] = bases[o[k]].transpose(0, 2, 1) @ data[k] @ bases[p[k]]
+            on = np.flatnonzero(o == p)
+            data[on] = 0.5 * (data[on] + data[on].transpose(0, 2, 1))
+            data = np.concatenate([data, data[b.above].transpose(0, 2, 1)])
+            A = sparse.bsr_matrix((data[b.order], b.indices, b.indptr),
+                                  shape=(orbits * d,) * 2)
+            pencil.append(A.tocsr()[keep][:, keep])
+        U = sparse.bsr_matrix((bases, np.arange(orbits),
+                               np.arange(orbits + 1))).tocsr()[:, keep]
+        sectors.append(Sector(irrep, rho, U, images, *pencil))
     return sectors

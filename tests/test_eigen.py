@@ -229,13 +229,14 @@ def test_no_convergence_reports_operator_applications(bench, monkeypatch):
     # both failures report how many shift-invert steps were taken, not the
     # iteration budget (ARPACK counts restarts, several steps each), summed
     # over every Lanczos run so far.  An untagged copy of K is solved whole;
-    # the assembled K at r=8 goes through sectors large enough for ARPACK
-    # (at r=4 every sector takes the dense path and maxiter never applies)
+    # the assembled K at r=32 goes through sectors large enough for ARPACK
+    # to need a restart (at r=16 one Lanczos pass converges in every sector,
+    # and maxiter never applies)
     K4, M4 = bench.matrices(PolyhedronKind.OCTAHEDRON, 4)
-    K8, M8 = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)
+    K32, M32 = bench.matrices(PolyhedronKind.OCTAHEDRON, 32)
     assert ps.symmetry.split(K4.copy(), M4) is None
-    assert ps.symmetry.split(K8, M8) is not None
-    for K, M in ((K4.copy(), M4), (K8, M8)):
+    assert ps.symmetry.split(K32, M32) is not None
+    for K, M in ((K4.copy(), M4), (K32, M32)):
         with pytest.raises(ps.NoConvergenceError) as info:
             ps.solve_lowest(K, M, 8, seed=0, maxiter=1)
         assert info.value.iterations > 1 and info.value.worst_residual is None
@@ -250,8 +251,8 @@ def test_no_convergence_reports_operator_applications(bench, monkeypatch):
     maxiter = 1000
     monkeypatch.setattr(ps.eigen, "_lowest", counted)
     monkeypatch.setattr(ps.eigen, "residual", lambda K, M, pair: 1.0)
-    # the octahedron's 8 sectors form 4 orbits, one solve each
-    for K, M, solves in ((K4.copy(), M4, 1), (K8, M8, 4)):
+    # one solve per irrep of the octahedron's label group, 10 in all
+    for K, M, solves in ((K4.copy(), M4, 1), (K32, M32, 10)):
         runs.clear()
         with pytest.raises(ps.NoConvergenceError) as info:
             ps.solve_lowest(K, M, 8, seed=0, maxiter=maxiter)
@@ -301,10 +302,14 @@ def test_worker_pool_is_bit_for_bit_the_in_process_loop(kind, bench, pools,
 @needs_fork
 def test_a_resolve_round_through_the_pool_is_the_in_process_loop(
         bench, pools, monkeypatch):
-    # 8,194 representative DOFs, past _POOL_DOFS; at m=150 the symmetric
-    # sector is solved a second time, for twice its first ask
-    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 64)
-    pooled = ps.solve_lowest(K, M, 150, seed=1)
+    # 13,655 sector DOFs, past _POOL_DOFS; at m=200 the trivial irrep's
+    # sector is solved a second time, for twice its first ask.  Sector 3's
+    # 30th value ties with the merged 200th to rounding (the tetrahedron's
+    # two 3-dimensional irreps share that cluster), so it may run again too
+    K, M = bench.matrices(PolyhedronKind.TETRAHEDRON, 128)
+    assert sum(s.K.shape[0] for s in ps.symmetry.split(K, M)) == 13655
+    assert 13655 > ps.eigen._POOL_DOFS
+    pooled = ps.solve_lowest(K, M, 200, seed=1)
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 1)
     solve = ps.eigen._sector_lowest
@@ -315,10 +320,11 @@ def test_a_resolve_round_through_the_pool_is_the_in_process_loop(
         return solve(sectors, i, m, *args)
 
     monkeypatch.setattr(ps.eigen, "_sector_lowest", counted)
-    alone = ps.solve_lowest(K, M, 150, seed=1)
+    alone = ps.solve_lowest(K, M, 200, seed=1)
     assert pools[0] is not None and pools[1:] == [None]
-    assert asks == [(0, 25), (1, 24), (2, 23), (3, 22), (0, 50)]
-    assert len(pooled) == len(alone) == 150
+    assert asks[:5] == [(0, 13), (1, 12), (2, 21), (3, 30), (4, 29)]
+    assert asks[5] == (0, 26) and asks[6:] in ([], [(3, 60)])
+    assert len(pooled) == len(alone) == 200
     for a, b in zip(pooled, alone):
         assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
         assert a.vector.tobytes() == b.vector.tobytes()
@@ -327,7 +333,7 @@ def test_a_resolve_round_through_the_pool_is_the_in_process_loop(
 @needs_fork
 def test_worker_failure_reports_like_the_in_process_loop(bench, pools,
                                                          monkeypatch):
-    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)
+    K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 32)
     errors = []
     for cpus in (2, 1):
         monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: cpus)
@@ -349,7 +355,7 @@ def test_a_failing_sector_counts_the_runs_before_it_in_sector_order(
     # sector fails after its run, while the earlier ones may still be running
     K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 8)
     sectors = ps.symmetry.split(K, M)
-    last = max(i for i, s in enumerate(sectors) if s.basis.shape[1])
+    last = max(i for i, s in enumerate(sectors) if s.K.shape[0])
     solve = ps.eigen._sector_lowest
     runs = {}
 
@@ -379,11 +385,11 @@ def test_only_large_solves_on_several_cpus_start_a_pool(bench, monkeypatch):
     # _lowest there see every call
     for kind in KINDS:
         K, M = bench.matrices(kind, 16)
-        sizes = [s.basis.shape[1] for s in ps.symmetry.split(K, M)]
+        sizes = [s.K.shape[0] for s in ps.symmetry.split(K, M)]
         assert sum(sizes) < ps.eigen._POOL_DOFS
     K, M = bench.matrices(PolyhedronKind.OCTAHEDRON, 4)
     sectors = ps.symmetry.split(K, M)
-    sizes = [s.basis.shape[1] for s in sectors]
+    sizes = [s.K.shape[0] for s in sectors]
     monkeypatch.setattr(ps.eigen, "_POOL_DOFS", sum(sizes))
     monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: 2)
     assert ps.eigen._pool(sectors, sizes[1:]) is None

@@ -11,20 +11,13 @@ from polyspec import symmetry as sym
 
 from conftest import CLUSTER_GAP, KINDS, span_distance
 
-# (order of the label group, number of sectors)
+# (order of the label group, number of its irreducible representations,
+# each of which split gives one sector)
 GROUPS = {
-    PolyhedronKind.TETRAHEDRON: (24, 4),
-    PolyhedronKind.OCTAHEDRON: (48, 8),
-    PolyhedronKind.ICOSAHEDRON: (120, 8),
-    PolyhedronKind.CUBE: (48, 8),
-}
-# (order of the normalizer of the sector group, orbit sizes of its action on
-# the characters)
-ORBITS = {
-    PolyhedronKind.TETRAHEDRON: (24, [1, 3]),
-    PolyhedronKind.OCTAHEDRON: (48, [1, 3, 3, 1]),
-    PolyhedronKind.ICOSAHEDRON: (24, [1, 3, 3, 1]),
-    PolyhedronKind.CUBE: (48, [1, 3, 3, 1]),
+    PolyhedronKind.TETRAHEDRON: (24, 5),
+    PolyhedronKind.OCTAHEDRON: (48, 10),
+    PolyhedronKind.ICOSAHEDRON: (120, 10),
+    PolyhedronKind.CUBE: (48, 10),
 }
 
 
@@ -35,10 +28,6 @@ def compose(a, b):
 def elements(kind, indices):
     """The label permutations at indices of label_group."""
     return tuple(sym.label_group(kind)[x] for x in indices)
-
-
-def sector_generators(kind):
-    return elements(kind, sym.sector_plan(kind).sector_gens)
 
 
 def group_generators(kind):
@@ -59,18 +48,34 @@ def test_group_orders_and_sector_counts(kind):
     identity = tuple(range(len(group[0])))
     assert identity in group
     assert all(compose(g, h) in group for g in group for h in group)
-    gens = sector_generators(kind)
-    assert 2 ** len(gens) == sectors
-    for g in gens:
-        assert g in group and g != identity
-        assert compose(g, g) == identity
-        assert all(compose(g, h) == compose(h, g) for h in gens)
+    irreps = sym._irreps(kind)
+    assert len(irreps) == sectors
+    assert sum(rho.shape[1] ** 2 for rho in irreps) == order
 
 
-# the sector group of each kind; its generators fix the numbering of the
-# sectors and so the seed each sector's Lanczos start vector is drawn from.
-# The tetrahedron's are two double transpositions (the Klein group), the
-# cube's the three coordinate reflections of its binary vertex labels
+@pytest.mark.parametrize("kind", KINDS)
+def test_irreps_are_orthogonal_and_irreducible(kind):
+    table = sym._table(kind)
+    order = len(table)
+    irreps = sym._irreps(kind)
+    assert sym._irreps(kind) is irreps
+    for rho in irreps:
+        d = rho.shape[1]
+        assert rho.shape == (order, d, d) and not rho.flags.writeable
+        assert np.abs(rho @ rho.transpose(0, 2, 1) - np.eye(d)).max() < 1e-13
+        # a homomorphism through the product table: rho[a∘b] = rho[a] rho[b]
+        assert np.abs(rho[table] - rho[:, None] @ rho[None, :]).max() < 1e-13
+    # the characters are orthonormal, so each irrep is irreducible and no
+    # two are equivalent; with the dimensions squared summing to the order,
+    # every irrep is there
+    chi = np.array([np.trace(rho, axis1=1, axis2=2) for rho in irreps])
+    assert np.abs(chi @ chi.T / order - np.eye(len(irreps))).max() < 1e-12
+
+
+# an elementary abelian 2-subgroup H of each label group, which the fallback
+# tests below average over: the tetrahedron's is the Klein group of double
+# transpositions, the cube's the three coordinate reflections of its binary
+# vertex labels
 SECTOR_GENERATORS = {
     PolyhedronKind.TETRAHEDRON: ((1, 0, 3, 2), (2, 3, 0, 1)),
     PolyhedronKind.OCTAHEDRON: ((0, 1, 4, 3, 2, 5), (0, 3, 2, 1, 4, 5),
@@ -135,66 +140,6 @@ def test_icosahedron_label_group_is_pinned():
         "4afc409bd235d009b4b48174d8a829b5bd2c0076c6d17504867eee19120088d1"
 
 
-def first_fitting(elements, identity):
-    """The involutions taken one by one from elements, in order, that commute
-    with those taken before and lie outside their span."""
-    gens, span = [], {identity}
-    while True:
-        fits = [g for g in elements if compose(g, g) == identity
-                and g not in span
-                and all(compose(g, h) == compose(h, g) for h in gens)]
-        if not fits:
-            return tuple(gens)
-        gens.append(fits[0])
-        span |= {compose(fits[0], h) for h in span}
-
-
-def largest_normal_2_subgroup(group):
-    """The largest elementary abelian 2-subgroup that is a union of whole
-    conjugacy classes, by trying every union of involution classes."""
-    identity = group[0]
-    inverse = {g: tuple(np.argsort(g).tolist()) for g in group}
-    classes = []
-    for g in group:
-        if compose(g, g) == identity and g != identity and \
-                not any(g in c for c in classes):
-            classes.append({compose(compose(h, g), inverse[h])
-                            for h in group})
-    best = {identity}
-    for k in range(1, len(classes) + 1):
-        for chosen in itertools.combinations(classes, k):
-            subgroup = {identity}.union(*chosen)
-            if len(subgroup) > len(best) and all(
-                    compose(x, y) in subgroup
-                    and compose(x, y) == compose(y, x)
-                    for x in subgroup for y in subgroup):
-                best = subgroup
-    return best
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_sector_generators_are_the_first_fitting_involutions(kind):
-    # the first-fitting involutions of the largest normal elementary abelian
-    # 2-subgroup if that reaches the rank of the first-fitting involutions of
-    # the whole group; of the whole group otherwise (the icosahedron, whose
-    # only normal one is the central inversion)
-    gens = sector_generators(kind)
-    assert gens == SECTOR_GENERATORS[kind]
-    group = sym.label_group(kind)
-    identity = group[0]
-    normal = largest_normal_2_subgroup(group)
-    scan = first_fitting(group, identity)
-    assert len(scan) == (2 if kind is PolyhedronKind.TETRAHEDRON else 3)
-    if len(normal) == 2 ** len(scan):
-        assert kind is not PolyhedronKind.ICOSAHEDRON
-        assert gens == first_fitting([g for g in group if g in normal],
-                                     identity)
-        assert span(gens, identity) == normal
-    else:
-        assert kind is PolyhedronKind.ICOSAHEDRON and len(normal) == 2
-        assert gens == scan
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_group_generators_are_the_first_spanning_pair(kind):
     gens = group_generators(kind)
@@ -207,6 +152,13 @@ def test_group_generators_are_the_first_spanning_pair(kind):
     for i, x in enumerate(group[:a + 1]):
         for y in group[:b] if i == a else group:
             assert span((x, y), identity) != set(group), (x, y)
+    # the tree leads every element to the identity along the pair
+    plan = sym.sector_plan(kind)
+    assert sym.sector_plan(kind) is plan
+    assert len(plan.tree) == len(group) and plan.tree[0] is None
+    for x, entry in enumerate(plan.tree[1:], 1):
+        i, y = entry
+        assert group[x] == compose(gens[i], group[y])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -357,102 +309,66 @@ def test_dof_permutation_matches_planar_oracle(kind, r, bench):
                               planar_oracle(mesh, sigma))
 
 
+def explicit_bases(sector, n):
+    """The (d, n, n_rho) dense bases of the d rows of sector's irrep: column
+    c of row j is partner j of the unit sector vector e_c."""
+    size = sector.K.shape[0]
+    B = np.zeros((sector.rho.shape[1], n, size))
+    for c, unit in enumerate(np.eye(size)):
+        B[:, sector.images, c] = np.moveaxis(sector.partners(unit), 2, 0)
+    return B
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
 def test_sector_bases_split_the_dofs(kind, r, bench):
     mesh = bench.mesh(kind, r)
     n = mesh.dof_count
-    gens = sector_generators(kind)
-    perms = [sym.dof_permutation(mesh, g) for g in gens]
-    bases = sym.sector_bases(perms, n, range(1 << len(perms)))
-    sizes = [B.shape[1] for B in bases]
-    assert len(bases) == GROUPS[kind][1]
-    assert sum(sizes) == n
-    if r == 1:
-        # 6 and 12 DOFs cannot fill 8 sectors; the Klein group and the
-        # cube's reflections act freely on the 4 and 8 vertices
-        assert (0 in sizes) == (kind in (PolyhedronKind.OCTAHEDRON,
-                                         PolyhedronKind.ICOSAHEDRON))
-    for c, B in enumerate(bases):
-        # generator i acts on sector c as the sign (-1)^(bit i of c)
-        for i, perm in enumerate(perms):
-            sign = -1.0 if c >> i & 1 else 1.0
-            assert (B[np.argsort(perm)] != sign * B).nnz == 0
-        # +-1 columns with disjoint supports
-        assert np.array_equal(abs(B).sum(axis=1).A1 <= 1, np.ones(n, bool))
-        assert np.all(abs(B.data) == 1)
-    # all n columns are mutually orthogonal, so together they span R^n
-    together = sparse.hstack(bases).tocsr()
-    gram = (together.T @ together).toarray()
-    assert np.array_equal(gram, np.diag(np.diag(gram)))
-    assert np.all(np.diag(gram) > 0)
-
-
-def characters_of(V, perms):
-    """The character of each column of V, read off its exact H-signs."""
-    out = []
-    for v in V.T:
-        c = 0
-        for i, perm in enumerate(perms):
-            image = v[np.argsort(perm)]
-            assert np.array_equal(image, v) or np.array_equal(image, -v)
-            c |= (not np.array_equal(image, v)) << i
-        out.append(c)
-    return np.array(out)
+    K, M = bench.matrices(kind, r)
+    sectors = sym.split(K, M)
+    if kind is PolyhedronKind.CUBE and r % 2:
+        assert sectors is None          # see the odd-resolution test below
+        return
+    assert len(sectors) == GROUPS[kind][1]
+    assert [s.irrep for s in sectors] == list(range(len(sectors)))
+    # each sector counts once per row of its irrep
+    assert sum(s.rho.shape[1] * s.K.shape[0] for s in sectors) == n
+    if r > 7:
+        return
+    # the rows of every irrep together: n mutually orthogonal columns, so
+    # they span R^n
+    together = np.hstack([B for s in sectors if s.K.shape[0]
+                          for B in explicit_bases(s, n)])
+    assert together.shape == (n, n)
+    gram = together.T @ together
+    off = gram - np.diag(np.diag(gram))
+    assert np.abs(off).max() <= 1e-12 * np.diag(gram).max()
+    assert np.all(np.diag(gram) > 0.5)
 
 
 def normalizer(kind):
     """The n of label_group with n^-1 h n in H for every h in H, in group
     order, by trying every pair (n, h)."""
     group = sym.label_group(kind)
-    subgroup = span(sector_generators(kind), group[0])
+    subgroup = span(SECTOR_GENERATORS[kind], group[0])
     return [n for n in group
             if all(compose(tuple(np.argsort(n).tolist()), compose(h, n))
                    in subgroup for h in subgroup)]
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_normalizer_orbits(kind):
-    order, sizes = ORBITS[kind]
-    plan = sym.sector_plan(kind)
-    assert sym.sector_plan(kind) is plan
-    group = sym.label_group(kind)
-    identity = group[0]
-    normal = normalizer(kind)
-    assert len(normal) == order and identity in normal
-    assert set(normal) <= set(group)
-    # two generators span G, which contains N; the tree leads every element
-    # to the identity along them
-    gens = group_generators(kind)
-    assert len(gens) == 2
-    assert span(gens, identity) == set(group)
-    assert len(plan.tree) == len(group) and plan.tree[0] is None
-    for x, entry in enumerate(plan.tree[1:], 1):
-        i, y = entry
-        assert group[x] == compose(gens[i], group[y])
-    assert set(sector_generators(kind)) <= set(normal)
-    assert [len(o) for o in plan.orbits] == sizes
-    assert sorted(c for o in plan.orbits for c in o) == \
-        list(range(GROUPS[kind][1]))
-    conjugators = elements(kind, plan.conjugators)
-    for orbit in plan.orbits:
-        assert orbit[0] == min(orbit)
-        assert conjugators[orbit[0]] == identity
-        assert all(conjugators[c] in normal for c in orbit)
-
-
-# sha256 over split's integer and +-1 output at r=4: each sector's character,
-# basis pattern and signs, and copies.  The conjugators decide the copied
-# vectors bit for bit
+# sha256 over split's integer output at r=4: each sector's irrep, its
+# dimension, its character to 6 decimals (which no choice of basis moves)
+# and its size, then the orbits' images.  The irrep order seeds each
+# sector's Lanczos start vector
 SPLIT_SHA256 = {
     PolyhedronKind.TETRAHEDRON:
-        "f6440bb594b915e7c5ab7355677b84e6399128b0c42167d593fadb596189f367",
+        "867ebc4329c6d050468456248396c2f223c265795ec07a6edf87fbf770ebf4e2",
     PolyhedronKind.OCTAHEDRON:
-        "ad3871898ab885545862b55050be6bcec3aee16129795aa5e5706990c3d3f7f7",
+        "e5564e559d0c313f7135b3860e5b9dad83cf9e614f3acb746ffaac539027aeab",
     PolyhedronKind.ICOSAHEDRON:
-        "485436337b7d8cc0f67e5bd05c21c4ad79391c7f2e2ad2f67f8f64de67f1d318",
+        "724ca33fe81f08d8c2a9a5f5f4305628465082d0d55e97a3dd18009d80418b2b",
     PolyhedronKind.CUBE:
-        "8d4c0f7ad3b5bc9d348815a7c74af4ba6f18e32dff3c979bba8d10fb007afe43",
+        "4a92eba598e2a3c162f84939814237b69a8e9ed25c8688e0ac2ca2d2abbc5c99",
 }
 
 
@@ -461,65 +377,101 @@ def test_split_is_pinned(kind):
     K, M = ps.assemble(ps.build_mesh(ps.build_net(kind), 4))
     digest = hashlib.sha256()
     for s in sym.split(K, M):
-        B = s.basis
-        assert np.all(np.abs(B.data) == 1)
-        digest.update(np.int64(s.character).tobytes())
-        for x in (B.indptr, B.indices, B.data, *s.copies):
+        character = np.rint(np.trace(s.rho, axis1=1, axis2=2) * 1e6)
+        for x in (s.irrep, s.rho.shape[1], character, s.K.shape[0]):
             digest.update(np.asarray(x, np.int64).tobytes())
+    digest.update(np.asarray(s.images, np.int64).tobytes())
     assert digest.hexdigest() == SPLIT_SHA256[kind]
 
 
 @pytest.mark.parametrize("r, kind", [
-    (r, kind) for r in [4, 7, 8] for kind in KINDS
-    if (r != 7 if kind is PolyhedronKind.CUBE else r != 8)])
+    (r, kind) for r in [1, 2, 3, 4, 7, 8] for kind in KINDS
+    if (r % 2 == 0 if kind is PolyhedronKind.CUBE else r != 8)])
 def test_conjugate_sectors_share_the_spectrum(kind, r, bench):
+    # the d rows of an irrep span d sectors that K and M treat alike: the
+    # explicit basis B_j of every row j gives the pencil (B_j^T K B_j,
+    # B_j^T M B_j) that split reads off the orbits' smallest DOFs, and an
+    # element h moves row j's basis onto sum_i rho[h]_ij B_i
     mesh = bench.mesh(kind, r)
     K, M = bench.matrices(kind, r)
     n = mesh.dof_count
-    plan = sym.sector_plan(kind)
-    conjugators = elements(kind, plan.conjugators)
-    perms = [sym.dof_permutation(mesh, g) for g in sector_generators(kind)]
-    bases = sym.sector_bases(perms, n, range(1 << len(perms)))
-    sectors = sym.split(K, M)
-    assert [s.character for s in sectors] == [o[0] for o in plan.orbits]
-
-    def spectrum(B):
-        return np.array([p.value for p in ps.dense_solve(B.T @ K @ B,
-                                                         B.T @ M @ B)])
-
-    for orbit, sector in zip(plan.orbits, sectors):
-        rep = spectrum(bases[orbit[0]])
-        assert len(sector.copies) == len(orbit) - 1
-        for c, copy in zip(orbit[1:], sector.copies):
-            assert np.array_equal(
-                copy, sym.dof_permutation(mesh, conjugators[c]))
-            # the conjugator carries the representative's basis into sector
-            # c: every H generator acts on the moved columns with c's sign
-            moved = sparse.csr_matrix(bases[orbit[0]])[np.argsort(copy)]
-            for i, perm in enumerate(perms):
-                sign = -1.0 if c >> i & 1 else 1.0
-                assert (moved[np.argsort(perm)] != sign * moved).nnz == 0
-            other = spectrum(bases[c])
-            assert len(other) == len(rep)
-            assert np.all(np.abs(other - rep) <= 1e-12 * np.maximum(1.0, rep))
+    pair = sym.sector_plan(kind).pair
+    perms = [sym.dof_permutation(mesh, sigma)
+             for sigma in elements(kind, pair)]
+    for s in sym.split(K, M):
+        if not s.K.shape[0]:
+            continue
+        B = explicit_bases(s, n)
+        for A, S in ((K, s.K.toarray()), (M, s.M.toarray())):
+            assert np.array_equal(S, S.T)
+            for Bj in B:
+                bound = abs(A).max() * np.abs(Bj).sum(axis=0).max() ** 2
+                assert np.abs(Bj.T @ (A @ Bj) - S).max() <= 1e-12 * bound
+        for g, perm in zip(pair, perms):
+            moved = B[:, np.argsort(perm)]
+            assert np.abs(moved - np.einsum("ij,ink->jnk", s.rho[g], B)
+                          ).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_copies_repeat_their_representative_bit_for_bit(kind, bench):
-    mesh = bench.mesh(kind, 16)
+def test_copies_repeat_their_representative_bit_for_bit(kind, bench,
+                                                        monkeypatch):
+    # every value a sector finds is placed once per row of its irrep, bit
+    # for bit; the d partners of each pair pass the residual contract and
+    # are M-orthonormal
     K, M = bench.matrices(kind, 16)
     n, m = K.shape[0], 60
     sectors = sym.split(K, M)
+    found = {}
+    solve = ps.eigen._sector_lowest
+
+    def recorded(sectors, i, *args):
+        found[i] = solve(sectors, i, *args)
+        return found[i]
+
+    monkeypatch.setattr(ps.eigen, "_sector_lowest", recorded)
     vals, vecs, _ = ps.eigen._lowest_by_sector(sectors, n, m, 0, None)
-    assert vecs.shape == (n, m) and np.all(np.diff(vals) >= 0)
-    perms = [sym.dof_permutation(mesh, g) for g in sector_generators(kind)]
-    chars = characters_of(vecs, perms)
-    # every value below the m-th is kept in each sector of its orbit
-    below = vals < vals[-1]
-    for orbit in sym.sector_plan(kind).orbits:
-        rep = vals[below & (chars == orbit[0])]
-        for c in orbit[1:]:
-            assert np.array_equal(vals[below & (chars == c)], rep)
+    assert vecs.shape == (n, m)
+    assert np.array_equal(vals, np.sort(np.concatenate(
+        [np.repeat(found[i][0], sectors[i].rho.shape[1]) for i in found]))[:m])
+    for i, (values, vectors, _) in found.items():
+        s = sectors[i]
+        for value, c in zip(values[values < vals[-1]], vectors.T):
+            V = np.empty((n, s.rho.shape[1]))
+            V[s.images] = s.partners(c)
+            V /= np.sqrt(np.einsum("ij,ij->j", V, M @ V))
+            assert np.abs(V.T @ (M @ V) - np.eye(len(V.T))).max() < 1e-12
+            for v in V.T:
+                assert ps.residual(K, M, ps.EigenPair(value, v)) <= 1e-9
+
+
+def test_sectors_label_the_clusters(bench):
+    # each value's sector is its irrep label (ROADMAP item 2), at r=32
+    def clusters(kind, m):
+        K, M = bench.matrices(kind, 32)
+        found = []
+        for s in sym.split(K, M):
+            size, d = s.K.shape[0], s.rho.shape[1]
+            # at most m // d of a sector's values lie among the m lowest
+            for p in ps.solve_lowest(s.K, s.M, min(size, m // d + 1), seed=0):
+                found += [(ps.normalize(p.value, kind), s.irrep, d)] * d
+        found.sort()
+        ends = np.cumsum([0] + [k for _, k in ps.group_clusters(
+            [v for v, _, _ in found[:m]], rel_tol=CLUSTER_GAP)]).tolist()
+        return [found[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+
+    octahedron = clusters(PolyhedronKind.OCTAHEDRON, 20)
+    third, = [c for c in octahedron if abs(c[0][0] - 4 / 3) < 0.01]
+    assert {(i, d) for _, i, d in third} == {(4, 2)} and len(third) == 2
+    four, = [c for c in octahedron if abs(c[0][0] - 4) < 0.02]
+    assert len(four) == 2 and [d for _, _, d in four] == [1, 1]
+    assert four[0][1] != four[1][1]
+    icosahedron = clusters(PolyhedronKind.ICOSAHEDRON, 40)
+    labels = [{(i, d) for _, i, d in c} for c in icosahedron[:11]]
+    assert all(len(label) == 1 for label in labels)
+    assert [d for (_, d), in labels] == [1, 3, 5, 3, 4, 5, 4, 3, 3, 5, 1]
+    assert [len(c) for c in icosahedron[:11]] == \
+        [1, 3, 5, 3, 4, 5, 4, 3, 3, 5, 1]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -559,8 +511,8 @@ def test_zero_margin_merges_through_resolves(kind, bench, monkeypatch):
     monkeypatch.setattr(ps.eigen, "_SECTOR_MARGIN", 0)
     monkeypatch.setattr(ps.eigen, "_lowest", counted)
     got = np.array([p.value for p in ps.solve_lowest(K, M, m)])
-    # some sector ran twice; only one sector per orbit is ever solved
-    assert len(runs) > len(sym.sector_plan(kind).orbits)
+    # some sector ran twice
+    assert len(runs) > sum(1 for s in sym.split(K, M) if s.K.shape[0])
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
 
 
@@ -570,23 +522,30 @@ def test_zero_margin_merges_through_resolves(kind, bench, monkeypatch):
                                      (PolyhedronKind.TETRAHEDRON, 64)])
 def test_first_asks_solve_each_representative_once(kind, r, bench,
                                                    monkeypatch):
-    # at m=200 every representative's first ask, the symmetric sector's
-    # extra included, reaches past the merged 200th value, so no sector is
-    # solved a second time
+    # at m=200 every sector's first ask reaches past the merged 200th value,
+    # so no sector is solved a second time, unless its largest value ties
+    # with the 200th to rounding: a cluster that two sectors share, as the
+    # tetrahedron's 3-dimensional irreps do at lattice coincidences
     K, M = bench.matrices(kind, r)
     runs = []
-    lowest = ps.eigen._lowest
+    solve = ps.eigen._sector_lowest
 
-    def counted(*args):
-        runs.append(args[0].shape[0])
-        return lowest(*args)
+    def counted(sectors, i, *args):
+        out = solve(sectors, i, *args)
+        runs.append((i, out[0].max()))
+        return out
 
     monkeypatch.setattr(ps.eigen, "_POOL_DOFS", K.shape[0] + 1)
-    monkeypatch.setattr(ps.eigen, "_lowest", counted)
+    monkeypatch.setattr(ps.eigen, "_sector_lowest", counted)
     pairs = ps.solve_lowest(K, M, 200, seed=1)
-    assert runs == [s.basis.shape[1] for s in sym.split(K, M)]
-    assert len(runs) == len(sym.sector_plan(kind).orbits)
     assert max(ps.residual(K, M, p) for p in pairs) <= 1e-9
+    solved = [i for i, s in enumerate(sym.split(K, M)) if s.K.shape[0]]
+    assert len(solved) == GROUPS[kind][1]
+    assert [i for i, _ in runs[:len(solved)]] == solved
+    first = dict(runs[:len(solved)])
+    top = pairs[-1].value
+    for i, _ in runs[len(solved):]:
+        assert first[i] <= top and top - first[i] <= 1e-12 * top
 
 
 def test_untagged_or_edited_pencils_are_solved_whole(bench):
@@ -640,7 +599,7 @@ def test_h_invariant_but_not_n_invariant_pencils_are_solved_whole(bench):
     kind = PolyhedronKind.OCTAHEDRON
     mesh = bench.mesh(kind, 8)
     images = [np.arange(mesh.dof_count)]
-    for g in sector_generators(kind):
+    for g in SECTOR_GENERATORS[kind]:
         p = sym.dof_permutation(mesh, g)
         images += [p[h] for h in images]
     check_averaged_edit_is_solved_whole(bench, kind, 8, images)
@@ -662,7 +621,7 @@ def test_n_invariant_but_not_g_invariant_pencils_are_solved_whole(kind,
         inversions = [sum(a > b for a, b in itertools.combinations(g, 2))
                       for g in group]
         subgroup = [g for g, n in zip(group, inversions) if n % 2 == 0]
-        assert span(sector_generators(kind), group[0]) <= set(subgroup)
+        assert span(SECTOR_GENERATORS[kind], group[0]) <= set(subgroup)
     else:
         subgroup = normal
     assert len(subgroup) < len(group)
