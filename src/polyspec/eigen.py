@@ -20,10 +20,19 @@ On a host with more than one usable CPU and fork, the sectors of a large
 pencil are solved in worker processes, at most one per CPU and sector; one
 loop collects every sector's solve, as a call that a worker has started or
 that the parent runs.  Each worker inherits the sectors and the parent's
-BLAS thread setting, and runs the same solve on the same data; the merge,
-lift and checks stay in the parent, so the output is byte-identical for any
-number of usable CPUs.  The workers' memory is their own: the parent's peak
-RSS does not include it (see RUSAGE_CHILDREN).
+BLAS thread setting, and runs the same solve on the same data.  The workers'
+memory is their own: the parent's peak RSS does not include it (see
+RUSAGE_CHILDREN).  Where such a pool may start (two usable CPUs, two
+sectors and _POOL_DOFS DOFs among them), two steps in the parent run on
+threads too, and nowhere else: split's float invariance check, on one
+thread beside the sector build, and the finish of every returned vector
+(M-normalization, sign and residual), on the calling thread and one more
+per further CPU.  Both are mostly scipy's sparse products and numpy's array
+passes, which release the interpreter lock; SuperLU's solve holds it, so
+the sector solves stay in processes.  The merge and the lift stay on the
+calling thread, and each vector's finish is the same arithmetic on
+whichever thread runs it, so the output is byte-identical for any number of
+usable CPUs.
 """
 
 from __future__ import annotations
@@ -74,23 +83,52 @@ def residual(K, M, pair: EigenPair) -> float:
     return float(np.linalg.norm(r) / ((1.0 + pair.value) * np.linalg.norm(mv)))
 
 
-def _postprocess(vals, vecs, M, tol):
+def _finish(K, M, vals, vectors, tol, threads=1):
+    """The pairs of vals and vectors, sorted, and their worst residual.
+
+    vectors[j] is value j's vector, a contiguous array that is normalized in
+    place, so that no thread keeps pair data in its own heap.  One pass per
+    vector: its M-norm from one M v and its residual from that and one K v
+    (scaling v does not change it), then v divided by its M-norm and negated
+    if its first entry of largest magnitude is negative.  A value within
+    10 tol of zero, of either sign, is 0; one below -10 tol is kept for the
+    caller's checks.  With threads > 1 the calling thread and threads - 1
+    more take the vectors one at a time.
+    """
     order = np.argsort(vals)
-    pairs = []
-    for idx in order:
-        lam = float(vals[idx])
-        v = np.ascontiguousarray(vecs[:, idx])
-        nrm = float(np.sqrt(v @ (M @ v)))
-        v = v / nrm
-        k = int(np.argmax(np.abs(v)))
-        if v[k] < 0:
-            v = -v
-        if lam < 0:
-            if lam > -10.0 * tol:
-                lam = 0.0
-            # else: leave the violation visible to the caller's checks
-        pairs.append(EigenPair(value=lam, vector=v))
-    return pairs
+    values = [0.0 if abs(vals[j]) < 10.0 * tol else float(vals[j])
+              for j in order]
+
+    def finish(k):
+        v, lam = vectors[order[k]], values[k]
+        mv = M @ v
+        scale = float(np.sqrt(v @ mv))
+        r = K @ v
+        denominator = (1.0 + lam) * np.linalg.norm(mv)
+        r -= np.multiply(mv, lam, out=mv)
+        np.divide(v, scale, out=v)
+        # argmax(abs(v)) without a copy: its first maximum or minimum
+        high, low = np.argmax(v), np.argmin(v)
+        if v[high] < -v[low] or (v[high] == -v[low] and low < high):
+            np.negative(v, out=v)
+        return float(np.linalg.norm(r) / denominator)
+
+    # each next() on the shared iterator is one call under the interpreter
+    # lock, so every column goes to exactly one thread
+    columns = iter(range(len(order)))
+
+    def work():
+        return [finish(k) for k in columns]
+
+    if threads < 2:
+        residuals = work()
+    else:
+        # the calling thread takes its share: one thread's heap fewer stays
+        with concurrent.futures.ThreadPoolExecutor(threads - 1) as pool:
+            helpers = [pool.submit(work) for _ in range(threads - 1)]
+            residuals = work() + [r for h in helpers for r in h.result()]
+    return [EigenPair(lam, vectors[j]) for lam, j in zip(values, order)], \
+        max(residuals)
 
 
 def _eigh(K, M):
@@ -109,7 +147,7 @@ def dense_solve(K, M, tol: float = 1e-10):
     Guard: refuses dimensions above 2000.
     """
     vals, vecs = _eigh(K, M)
-    return _postprocess(vals, vecs, M, tol)
+    return _finish(K, M, vals, [np.array(v) for v in vecs.T], tol)[0]
 
 
 def _lowest(K, M, m, v0, maxiter):
@@ -176,15 +214,25 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _cpus(sizes):
+    """The CPUs that sectors of these sizes may use at once: the usable ones
+    if there are two, with two sectors and _POOL_DOFS DOFs among them, else
+    1."""
+    cpus = _usable_cpus()
+    if cpus < 2 or len(sizes) < 2 or sum(sizes) < _POOL_DOFS:
+        return 1
+    return cpus
+
+
 def _pool(sectors, sizes):
     """A fork pool whose workers inherit sectors, or None to solve in-process.
 
-    sizes are those of the sectors to solve.  A pool needs two usable CPUs,
-    two sectors and _POOL_DOFS DOFs among them; a daemonic process may not
-    start children, and without fork the sectors would have to be pickled.
+    sizes are those of the sectors to solve, and _cpus must allow two or
+    more; a daemonic process may not start children, and without fork the
+    sectors would have to be pickled.
     """
-    workers = min(_usable_cpus(), len(sizes))
-    if workers < 2 or sum(sizes) < _POOL_DOFS:
+    workers = min(_cpus(sizes), len(sizes))
+    if workers < 2:
         return None
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
@@ -212,7 +260,8 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     with the most nonzeros in K first, else the parent runs it when called.
     Either way results, and a failure's applications plus those of the runs
     before it, are taken in sector order.  Only the m lowest merged pairs
-    are lifted, each value's d partners side by side (Sector.partners).
+    are lifted, each partner into its own vector (Sector.partner),
+    unnormalized.
     """
     sizes = [s.K.shape[0] for s in sectors]
     dims = [s.rho.shape[1] for s in sectors]
@@ -251,14 +300,13 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     entries = [(i, j, p) for i, (vals, _) in found.items()
                for j in range(len(vals)) for p in range(dims[i])]
     order = np.argsort(merged, kind="stable")[:m]
-    vecs = np.empty((n, m), order="F")
-    lifted = None
-    for col, e in enumerate(order):
+    # every vector is allocated before the first partner, so that the one
+    # (|G|, orbits) array that each partner passes through reuses one block
+    vectors = [np.empty(n) for _ in order]
+    for e, v in zip(order, vectors):
         i, j, p = entries[e]
-        if lifted != (i, j):
-            lifted, partners = (i, j), sectors[i].partners(found[i][1][:, j])
-        vecs[sectors[i].images, col] = partners[..., p]
-    return merged[order], vecs, applications
+        sectors[i].partner(found[i][1][:, j], p, out=v)
+    return merged[order], vectors, applications
 
 
 def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
@@ -300,23 +348,24 @@ def solve_lowest(K, M, m: int, tol: float = 1e-9, seed: int = 0,
         raise ValueError(f"m={m} outside 1..{n}")
     if not (np.isfinite(tol) and tol >= 1e-12):
         raise ValueError(f"tol must be finite and >= 1e-12, got {tol}")
-    sectors = symmetry.split(K, M)
+    sectors = symmetry.split(K, M, _cpus)
     try:
         if sectors is None:
             v0 = np.random.default_rng(seed).standard_normal(n)
             vals, vecs, applications = _lowest(K, M, m, v0, maxiter)
+            vectors, threads = [np.array(v) for v in vecs.T], 1
         else:
-            vals, vecs, applications = _lowest_by_sector(sectors, n, m, seed,
-                                                         maxiter)
+            vals, vectors, applications = _lowest_by_sector(
+                sectors, n, m, seed, maxiter)
+            threads = min(_cpus([s.K.shape[0] for s in sectors
+                                 if s.K.shape[0]]), m)
     except DimensionTooLargeError as exc:
         raise DimensionTooLargeError(
             f"{m} of {n} eigenpairs need a dense solve, which is limited to "
             f"{_DENSE_GUARD} DOFs; ask for fewer pairs") from exc
-    pairs = _postprocess(vals, vecs, M, tol)
-    worst = max(residual(K, M, p) for p in pairs)
+    pairs, worst = _finish(K, M, vals, vectors, tol, threads)
     if worst > tol:
         raise NoConvergenceError(
             f"residual contract violated: worst residual {worst:.3e} > {tol:.3e}",
             iterations=applications, worst_residual=worst)
     return pairs
-

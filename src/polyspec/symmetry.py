@@ -22,6 +22,7 @@ product table of G; _irreps gives the matrices of every rho.
 
 from __future__ import annotations
 
+import concurrent.futures
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -144,6 +145,8 @@ def _irreps(kind: PolyhedronKind) -> tuple:
     per character.  Every irrep of these four groups is real, so this finds
     them all: their dimensions squared sum to |G|.  Ordered by dimension,
     then by character, largest first; the trivial representation leads.
+    rho[0] is exactly the identity matrix, not Q^T Q, so that the blocks
+    that split reads through the identity are exactly diagonal.
     """
     table = _table(kind)
     order = len(table)
@@ -169,6 +172,7 @@ def _irreps(kind: PolyhedronKind) -> tuple:
             len(item[1]), [-x for x in item[0]])):
         # rho[x] = Q^T R_x Q, entry [a, b] = sum_h Q[x∘h, a] Q[h, b]
         rho = Q[:, table].transpose(1, 0, 2) @ Q.T
+        rho[0] = np.eye(len(Q))
         rho.flags.writeable = False
         irreps.append(rho)
     assert sum(len(rho[0]) ** 2 for rho in irreps) == order, \
@@ -256,25 +260,30 @@ class Sector(NamedTuple):
     element x of orbit o's smallest DOF, is e_1^T rho[x] w_o, for w_o in the
     span of rho's vectors fixed by o's stabilizer; U maps a sector vector c
     onto the d-vectors w = (U c).reshape(orbits, d) that it stands for.
+    owner[z] is the last index of images.ravel() that holds DOF z; every
+    sector shares images and owner.
     """
 
     irrep: int
     rho: np.ndarray
     U: sparse.csr_matrix
     images: np.ndarray
+    owner: np.ndarray
     K: sparse.csr_matrix
     M: sparse.csr_matrix
 
-    def partners(self, c) -> np.ndarray:
-        """The d partner vectors of sector vector c, an (|G|, orbits, d) array.
+    def partner(self, c, j, out=None) -> np.ndarray:
+        """Partner j of sector vector c, a vector on every DOF (into out).
 
-        Entry [x, o, j] is partner j's value at DOF images[x, o]:
-        e_j^T rho[x] w_o.  Partner 0 is c's own vector.  For a pair of the
-        sector pencil the d partners are pairs of the whole pencil with the
-        same value, M-orthogonal to each other and of equal M-norm (Schur).
+        Its value at DOF images[x, o] is e_j^T rho[x] w_o, taken at owner.
+        Partner 0 is c's own vector.  For a pair of the sector pencil the d
+        partners are pairs of the whole pencil with the same value,
+        M-orthogonal to each other and of equal M-norm (Schur).
         """
         w = (self.U @ c).reshape(-1, self.rho.shape[1])
-        return w @ self.rho.transpose(0, 2, 1)
+        values = self.rho[:, j] @ w.T                       # [x, o]
+        # "clip" writes into out directly, where "raise" would buffer a copy
+        return np.take(values.reshape(-1), self.owner, out=out, mode="clip")
 
 
 def _fixed(rho, stabilizer) -> np.ndarray:
@@ -326,7 +335,19 @@ def _blocks(rows, orbit_of, carrier, size) -> _Blocks:
                    np.searchsorted(all_rows[order], np.arange(len(size) + 1)))
 
 
-def split(K, M):
+def _invariant_pencil(K, M, gens) -> bool:
+    """Whether CSR K and M are invariant under each permutation of gens."""
+    shared = (np.array_equal(K.indptr, M.indptr)
+              and np.array_equal(K.indices, M.indices))
+    for g in gens:
+        index = _conjugation(K, g)
+        if not (_invariant(K, index) and _invariant(
+                M, index if shared else _conjugation(M, g))):
+            return False
+    return True
+
+
+def split(K, M, cpus=None):
     """One sector pencil per irrep of G [Sector], or None to solve (K, M) whole.
 
     Only a K that assemble returned carries its mesh; any other matrix (a
@@ -334,7 +355,9 @@ def split(K, M):
     in the order of _irreps and possibly empty, only if K and M are
     invariant under both of sector_plan's pair, hence under all of G; this
     also rejects data edited in place.  A pencil invariant under a proper
-    subgroup only is solved whole.
+    subgroup only is solved whole.  cpus, if given, maps the sizes of the
+    nonempty sectors to the CPUs their solve may use; with two or more, the
+    float check runs on a thread of its own while the pencils are built.
 
     The G-orbits of DOFs are the connected components of the pair's two
     permutations.  For an invariant A, the row of any DOF is the row of its
@@ -344,7 +367,9 @@ def split(K, M):
     fixed by o's stabilizer.  Only the blocks with o <= o' are read; those
     below the diagonal are the transposes of those above, and those on it
     are averaged with their own, so each pencil is exactly symmetric.  A
-    d-by-d block per entry of those rows makes larger irreps' sectors denser.
+    d-by-d block per entry of those rows makes larger irreps' sectors
+    denser; a block through the identity between free orbits (U_o = I) is
+    diagonal, and its exact zeros are dropped.
     """
     mesh = getattr(K, "_mesh", None)
     n = K.shape[0]
@@ -356,13 +381,6 @@ def split(K, M):
     plan = sector_plan(kind)
     perm = _action(mesh)
     gens = [perm(g) for g in plan.pair]
-    shared = (np.array_equal(K.indptr, M.indptr)
-              and np.array_equal(K.indices, M.indices))
-    for g in gens:
-        index = _conjugation(K, g)
-        if not (_invariant(K, index) and _invariant(
-                M, index if shared else _conjugation(M, g))):
-            return None
     edges = sparse.csr_matrix((np.ones(2 * n), np.column_stack(gens).ravel(),
                                np.arange(0, 2 * n + 1, 2)), shape=(n, n))
     label = csgraph.connected_components(edges, directed=False)[1]
@@ -390,27 +408,40 @@ def split(K, M):
                                  return_index=True, return_inverse=True)
     stabilizer = fixes.sum(axis=0)
     free, size = stabilizer == 1, len(images) / stabilizer     # size: |O_o|
-    blocks = [_blocks(A[first].tocoo(), orbit_of, carrier, size)
-              for A in (K, M)]
-    sectors = []
-    for irrep, rho in enumerate(_irreps(kind)):
-        d = rho.shape[1]
-        bases = np.array([_fixed(rho, fixes[:, o]) for o in lead])[kind_of]
-        keep = np.flatnonzero(bases.any(axis=1))    # slots o d + column
-        pencil = []
-        for b in blocks:
-            data = np.add.reduceat((b.value / d)[:, None, None] * rho[b.h],
-                                   b.starts)
-            o, p = b.rows, b.cols
-            k = np.flatnonzero(~(free[o] & free[p]))
-            data[k] = bases[o[k]].transpose(0, 2, 1) @ data[k] @ bases[p[k]]
-            on = np.flatnonzero(o == p)
-            data[on] = 0.5 * (data[on] + data[on].transpose(0, 2, 1))
-            data = np.concatenate([data, data[b.above].transpose(0, 2, 1)])
-            A = sparse.bsr_matrix((data[b.order], b.indices, b.indptr),
-                                  shape=(orbits * d,) * 2)
-            pencil.append(A.tocsr()[keep][:, keep])
-        U = sparse.bsr_matrix((bases, np.arange(orbits),
-                               np.arange(orbits + 1))).tocsr()[:, keep]
-        sectors.append(Sector(irrep, rho, U, images, *pencil))
-    return sectors
+    irreps = _irreps(kind)
+    bases = [np.array([_fixed(rho, fixes[:, o]) for o in lead])[kind_of]
+             for rho in irreps]
+    keeps = [np.flatnonzero(b.any(axis=1)) for b in bases]  # slots o d + col
+
+    def build():
+        blocks = [_blocks(A[first].tocoo(), orbit_of, carrier, size)
+                  for A in (K, M)]
+        sectors = []
+        for irrep, (rho, basis, keep) in enumerate(zip(irreps, bases, keeps)):
+            d = rho.shape[1]
+            pencil = []
+            for b in blocks:
+                data = np.add.reduceat(
+                    (b.value / d)[:, None, None] * rho[b.h], b.starts)
+                o, p = b.rows, b.cols
+                k = np.flatnonzero(~(free[o] & free[p]))
+                data[k] = (basis[o[k]].transpose(0, 2, 1) @ data[k]
+                           @ basis[p[k]])
+                on = np.flatnonzero(o == p)
+                data[on] = 0.5 * (data[on] + data[on].transpose(0, 2, 1))
+                data = np.concatenate([data, data[b.above].transpose(0, 2, 1)])
+                A = sparse.bsr_matrix((data[b.order], b.indices, b.indptr),
+                                      shape=(orbits * d,) * 2).tocsr()
+                A.eliminate_zeros()
+                pencil.append(A[keep][:, keep])
+            U = sparse.bsr_matrix((basis, np.arange(orbits),
+                                   np.arange(orbits + 1))).tocsr()[:, keep]
+            sectors.append(Sector(irrep, rho, U, images, owner, *pencil))
+        return sectors
+
+    if cpus is None or cpus([len(k) for k in keeps if len(k)]) < 2:
+        return build() if _invariant_pencil(K, M, gens) else None
+    with concurrent.futures.ThreadPoolExecutor(1) as beside:
+        invariant = beside.submit(_invariant_pencil, K, M, gens)
+        sectors = build()
+        return sectors if invariant.result() else None

@@ -548,3 +548,14 @@ def test_readme_cli_script_logs_each_command(tmp_path, monkeypatch):
     assert log.startswith("$ polyspec mesh --polyhedron cube --resolution 2\n"
                           "planarCount ")
     assert log.count("$ polyspec mesh") == 2
+
+
+def test_count_fem_counts_the_zero_mode_at_zero(tmp_path):
+    # the README's cube r=32 point: the zero mode's value is 0 exactly, not
+    # the sign of its rounding, so N(0) is 1
+    out = tmp_path / "cfem.csv"
+    assert run(["count", "--polyhedron", "cube", "--source", "fem",
+                "--resolution", "32", "--num-eigs", "200", "--tmax", "300",
+                "--samples", "200", "--out", str(out)]) == 0
+    t, n = out.read_text().split("\n")[1].split(",")[:2]
+    assert (float(t), int(n)) == (0.0, 1)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import multiprocessing
+import sys
 import types
 
 import numpy as np
@@ -111,6 +113,15 @@ def test_zero_mode_is_constant(bench):
     v = pairs[0].vector
     assert np.allclose(v, v[0], atol=1e-8)
     assert v[0] > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_zero_mode_is_zero_and_counted_once(kind, bench):
+    # a value within 10 tol of zero is 0, whichever sign its rounding has
+    pairs = bench.pairs(kind, 16, 10)
+    assert pairs[0].value == 0.0 and pairs[1].value > 1.0
+    series = ps.make_counting_series(kind, [p.value for p in pairs])
+    assert ps.counting(series, 0.0) == 1
 
 
 def test_residual_contracts(bench):
@@ -249,8 +260,10 @@ def test_no_convergence_reports_operator_applications(bench, monkeypatch):
         return out
 
     maxiter = 1000
+    finish = ps.eigen._finish
     monkeypatch.setattr(ps.eigen, "_lowest", counted)
-    monkeypatch.setattr(ps.eigen, "residual", lambda K, M, pair: 1.0)
+    monkeypatch.setattr(ps.eigen, "_finish",
+                        lambda *args: (finish(*args)[0], 1.0))
     # one solve per irrep of the octahedron's label group, 10 in all
     for K, M, solves in ((K4.copy(), M4, 1), (K32, M32, 10)):
         runs.clear()
@@ -270,7 +283,7 @@ def test_matches_scipy_shift_invert_above_dense_guard(kind, bench):
     m, seed = 30, 0
     v0 = np.random.default_rng(seed).standard_normal(K.shape[0])
     vals, vecs = spla.eigsh(K, k=m, M=M, sigma=-1e-2, v0=v0, tol=0)
-    ref = ps.eigen._postprocess(vals, vecs, M, 1e-9)
+    ref, _ = ps.eigen._finish(K, M, vals, [np.array(v) for v in vecs.T], 1e-9)
     low = ps.solve_lowest(K, M, m, seed=seed)
     a = np.array([p.value for p in ref])
     b = np.array([p.value for p in low])
@@ -409,3 +422,73 @@ def test_only_large_solves_on_several_cpus_start_a_pool(bench, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     assert ps.eigen._pool(sectors, sizes) is None
+
+
+def test_the_thread_count_changes_nothing(bench, monkeypatch):
+    # ico r=64 holds 10,924 sector DOFs, past _POOL_DOFS: on two CPUs split's
+    # check and the finish run on threads, on one CPU no thread starts
+    K, M = bench.matrices(PolyhedronKind.ICOSAHEDRON, 64)
+    assert sum(s.K.shape[0] for s in ps.symmetry.split(K, M)) == 10924
+    assert 10924 > ps.eigen._POOL_DOFS
+    started = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class Recorded(executor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    solves = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ps.eigen, "_usable_cpus", lambda: cpus)
+        solves.append(ps.solve_lowest(K, M, 50, seed=1))
+        assert multiprocessing.active_children() == []
+    # split's check, then the finish's helper beside the calling thread
+    assert started == [1, 1]
+    for a, b in zip(*solves):
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert a.vector.tobytes() == b.vector.tobytes()
+
+
+def reference_finish(K, M, vals, vecs, tol):
+    """The loop that _finish replaced, with its zero rule: each column
+    copied, divided by its M-norm and negated if its entry of largest
+    magnitude is negative, then its residual; and the worst residual."""
+    pairs = []
+    for idx in np.argsort(vals):
+        lam = float(vals[idx])
+        v = np.ascontiguousarray(vecs[:, idx])
+        v = v / float(np.sqrt(v @ (M @ v)))
+        if v[int(np.argmax(np.abs(v)))] < 0:
+            v = -v
+        pairs.append(ps.EigenPair(0.0 if abs(lam) < 10 * tol else lam, v))
+    return pairs, max(ps.residual(K, M, p) for p in pairs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("threads", [1, 8])
+def test_finish_matches_the_loop_it_replaced(kind, threads, bench):
+    # the lift and the finish of the sector path, against the (n, m) array
+    # that the lift scattered into and the loop that normalized a copy of
+    # each column; values and vectors agree bit for bit, also with more
+    # threads than CPUs switching as often as they can.  The residual of
+    # the unscaled vector differs from that of the scaled one by the
+    # rounding of the products, about 1e-14 here, where the worst residual
+    # is near 3e-13
+    K, M = bench.matrices(kind, 16)
+    n, m = K.shape[0], 60
+    sectors = ps.symmetry.split(K, M)
+    vals, vectors, _ = ps.eigen._lowest_by_sector(sectors, n, m, 0, None)
+    want, worst = reference_finish(K, M, vals, np.column_stack(vectors), 1e-9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, residual = ps.eigen._finish(K, M, vals, vectors, 1e-9, threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got[0].value == 0.0
+    for a, b in zip(got, want):
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert a.vector.tobytes() == b.vector.tobytes()
+    assert abs(residual - worst) <= 1e-13

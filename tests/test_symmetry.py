@@ -72,6 +72,22 @@ def test_irreps_are_orthogonal_and_irreducible(kind):
     assert np.abs(chi @ chi.T / order - np.eye(len(irreps))).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [16, 32])
+def test_sector_pencils_are_exactly_sparse(kind, r, bench):
+    # rho(identity) is the identity matrix itself, so every block read
+    # through the identity between free orbits is exactly diagonal, and
+    # split stores none of its zeros.  With them, the sectors held 0.67 to
+    # 0.87 times nnz(K) at these points
+    for rho in sym._irreps(kind):
+        assert np.array_equal(rho[0], np.eye(rho.shape[1]))
+    K, M = bench.matrices(kind, r)
+    sectors = sym.split(K, M)
+    for s in sectors:
+        assert np.all(s.K.data != 0) and np.all(s.M.data != 0)
+    assert sum(s.K.nnz for s in sectors) <= 0.5 * K.nnz
+
+
 # an elementary abelian 2-subgroup H of each label group, which the fallback
 # tests below average over: the tetrahedron's is the Klein group of double
 # transpositions, the cube's the three coordinate reflections of its binary
@@ -315,7 +331,8 @@ def explicit_bases(sector, n):
     size = sector.K.shape[0]
     B = np.zeros((sector.rho.shape[1], n, size))
     for c, unit in enumerate(np.eye(size)):
-        B[:, sector.images, c] = np.moveaxis(sector.partners(unit), 2, 0)
+        for j, row in enumerate(B):
+            row[:, c] = sector.partner(unit, j)
     return B
 
 
@@ -431,14 +448,14 @@ def test_copies_repeat_their_representative_bit_for_bit(kind, bench,
 
     monkeypatch.setattr(ps.eigen, "_sector_lowest", recorded)
     vals, vecs, _ = ps.eigen._lowest_by_sector(sectors, n, m, 0, None)
-    assert vecs.shape == (n, m)
+    assert len(vecs) == m and all(v.shape == (n,) for v in vecs)
     assert np.array_equal(vals, np.sort(np.concatenate(
         [np.repeat(found[i][0], sectors[i].rho.shape[1]) for i in found]))[:m])
     for i, (values, vectors, _) in found.items():
         s = sectors[i]
         for value, c in zip(values[values < vals[-1]], vectors.T):
-            V = np.empty((n, s.rho.shape[1]))
-            V[s.images] = s.partners(c)
+            V = np.column_stack([s.partner(c, j)
+                                 for j in range(s.rho.shape[1])])
             V /= np.sqrt(np.einsum("ij,ij->j", V, M @ V))
             assert np.abs(V.T @ (M @ V) - np.eye(len(V.T))).max() < 1e-12
             for v in V.T:
