@@ -252,8 +252,8 @@ def _lowest_by_sector(sectors, n, m, seed, maxiter):
     merged m-th value; a sector that is neither is solved again for twice as
     many pairs.  That is a fallback: no sector needs it at m=200 on r=32
     meshes or on the icosahedron at r=128, m=50; the tetrahedron at r=128,
-    m=200 solves two of its five sectors twice, one for a value that ties
-    with the merged m-th to rounding.
+    m=200 solves its trivial irrep's sector twice, and a sector whose value
+    ties with the merged m-th to rounding is solved again too.
 
     Each round maps every sector to solve onto a call that returns its
     solve; with a pool (see _pool) a worker starts it at once, the sector

@@ -17,7 +17,9 @@ off one row of K and M per G-orbit of DOFs; each eigenvalue of it occurs d
 times in the whole pencil, and rho's matrices lift each eigenvector to its d
 partners.  split checks K and M under two generators of G: sector_plan gives
 them, and the tree along which every element composes from them, off one
-product table of G; _irreps gives the matrices of every rho.
+product table of G; _irreps gives the matrices of every rho, taken in the
+eigenbasis of the two commuting mirrors whose walls K's rows cross most, so
+that both walls couple rho's d copies of an orbit diagonally (_wall_basis).
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def sector_plan(kind: PolyhedronKind) -> SectorPlan:
 
 
 @lru_cache(maxsize=None)
-def _irreps(kind: PolyhedronKind) -> tuple:
+def _irreps(kind: PolyhedronKind, walls=None) -> tuple:
     """Every real irreducible representation of label_group, once each.
 
     Each is a read-only (|G|, d, d) array of orthogonal matrices with
@@ -146,8 +148,11 @@ def _irreps(kind: PolyhedronKind) -> tuple:
     them all: their dimensions squared sum to |G|.  Ordered by dimension,
     then by character, largest first; the trivial representation leads.
     rho[0] is exactly the identity matrix, not Q^T Q, so that the blocks
-    that split reads through the identity are exactly diagonal.
+    that split reads through the identity are exactly diagonal.  Given walls
+    (a, b), each rho with d >= 2 is taken in _wall_basis instead (cached).
     """
+    if walls is not None:
+        return tuple(_wall_basis(rho, *walls) for rho in _irreps(kind))
     table = _table(kind)
     order = len(table)
     Z = np.zeros((order, order))
@@ -180,35 +185,63 @@ def _irreps(kind: PolyhedronKind) -> tuple:
     return tuple(irreps)
 
 
-def dof_permutation(mesh: SurfaceMesh, sigma) -> np.ndarray:
+def _wall_basis(rho, a, b) -> np.ndarray:
+    """Q^T rho Q for Q the joint eigenbasis of commuting involutions rho[a]
+    and rho[b], read-only: each entry within 1e-12 of an integer is set to
+    it, so rho[a] and rho[b] are diagonal +-1 and rho[0] the identity."""
+    if rho.shape[1] == 1:
+        return rho
+    # one eigenvalue of rho[a] + pi rho[b] per pair of signs
+    Q = dla.eigh(rho[a] + np.pi * rho[b])[1]
+    rho = Q.T @ rho @ Q
+    near = np.abs(rho - rho.round())
+    assert not np.any((near > 1e-12) & (near < 1e-3)), "not a wall basis"
+    np.copyto(rho, rho.round(), where=near <= 1e-12)
+    rho.flags.writeable = False
+    return rho
+
+
+def dof_permutation(mesh: SurfaceMesh, sigma, dofs=None) -> np.ndarray:
     """The DOF permutation p of one label permutation: p[d] is d's image.
 
-    face_grid lists a face's grid points by integer weights on its corners.
-    A point's image carries the same weights on the image face's corners
-    whose labels are the images of those corners' labels.
+    A point's image carries its face_grid weights on the image face g's
+    corners that hold the images of its corners' labels; face_grid, given
+    those corners' (u, v) in g's frame, lists it at (u, v), which is place
+    u(r+1) - u(u-1)/2 + v of dofs[g] (_face_dofs) or u(r+1) + v on a square.
     """
-    net = mesh.net
+    net, r = mesh.net, mesh.resolution
+    dofs = _face_dofs(mesh) if dofs is None else dofs
+    square = net.faces[0].n_sides == 4
+    frame = np.array([(0, 0), (1, 0), (1, 1), (0, 1)] if square
+                     else [(0, 0), (1, 0), (0, 1)])
     face_of = {frozenset(f.labels): f for f in net.faces}
-    images = []
-    for f in net.faces:
-        image = face_of[frozenset(sigma[x] for x in f.labels)]
-        images.append([image.corners[image.labels.index(sigma[x])]
-                       for x in f.labels])
-    # the grid points of every face, then of every face's image
-    grid = face_grid([f.corners for f in net.faces] + images, mesh.resolution)
-    a, b = mesh.dof_of[grid_index(mesh.planar_lattice, grid)].reshape(2, -1)
+    images = [face_of[frozenset(sigma[x] for x in f.labels)]
+              for f in net.faces]
+    u, v = np.moveaxis(face_grid(
+        [frame[[g.labels.index(sigma[x]) for x in f.labels]]
+         for f, g in zip(net.faces, images)], r), -1, 0)
+    place = u * (r + 1) + v - (0 if square else u * (u - 1) // 2)
+    moved = dofs[[[g.index] for g in images], place]
     perm = np.empty(mesh.dof_count, dtype=np.int64)
-    perm[a] = b
-    assert np.array_equal(perm[a], b), "label permutation splits a DOF"
-    assert np.array_equal(np.sort(perm), np.arange(mesh.dof_count)), \
-        "label permutation does not permute the DOFs"
+    perm[dofs] = moved
+    assert np.array_equal(perm[dofs], moved), "label permutation splits a DOF"
+    hit = np.zeros(mesh.dof_count, dtype=bool)
+    hit[perm] = True
+    assert hit.all(), "label permutation does not permute the DOFs"
     return perm
+
+
+def _face_dofs(mesh: SurfaceMesh) -> np.ndarray:
+    """(faces, points): each face's grid DOFs, in face_grid's order."""
+    return mesh.dof_of[grid_index(mesh.planar_lattice, face_grid(
+        [f.corners for f in mesh.net.faces], mesh.resolution))]
 
 
 def _action(mesh: SurfaceMesh):
     """x -> dof_permutation(mesh, label_group[x]), composed along the plan."""
     plan, group = sector_plan(mesh.net.kind), label_group(mesh.net.kind)
-    gens = [dof_permutation(mesh, group[g]) for g in plan.pair]
+    dofs = _face_dofs(mesh)
+    gens = [dof_permutation(mesh, group[g], dofs) for g in plan.pair]
 
     def perm(x):        # uncached: no intermediate stays on the heap
         if plan.tree[x] is None:
@@ -226,8 +259,10 @@ def _conjugation(A, perm):
     the column indices mapped through perm, and each row sorted.  Every
     matrix with A's pattern shares the result.
     """
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm))
     index = sparse.csr_matrix((np.arange(A.nnz), A.indices, A.indptr),
-                              shape=A.shape)[np.argsort(perm)]
+                              shape=A.shape)[inverse]
     index.indices[:] = perm[index.indices]
     index.has_sorted_indices = False
     index.sort_indices()
@@ -369,7 +404,9 @@ def split(K, M, cpus=None):
     are averaged with their own, so each pencil is exactly symmetric.  A
     d-by-d block per entry of those rows makes larger irreps' sectors
     denser; a block through the identity between free orbits (U_o = I) is
-    diagonal, and its exact zeros are dropped.
+    diagonal, and its exact zeros are dropped; so is one through either of
+    walls, the commuting involutions through which K's rows reach the most
+    entries (ties to the smallest), in whose eigenbasis rho is taken.
     """
     mesh = getattr(K, "_mesh", None)
     n = K.shape[0]
@@ -408,14 +445,22 @@ def split(K, M, cpus=None):
                                  return_index=True, return_inverse=True)
     stabilizer = fixes.sum(axis=0)
     free, size = stabilizer == 1, len(images) / stabilizer     # size: |O_o|
-    irreps = _irreps(kind)
+    rows = K[first].tocoo()
+    table = _table(kind)
+    count = np.bincount(carrier[rows.col], minlength=len(table))
+    count[0] = 0
+    mirrors = np.flatnonzero((table.diagonal() == 0) & (count > 0)).tolist()
+    walls = max(((a, b) for a in mirrors for b in mirrors
+                 if a < b and table[a, b] == table[b, a]),
+                key=lambda w: count[list(w)].sum(), default=None)
+    irreps = _irreps(kind, walls)
     bases = [np.array([_fixed(rho, fixes[:, o]) for o in lead])[kind_of]
              for rho in irreps]
     keeps = [np.flatnonzero(b.any(axis=1)) for b in bases]  # slots o d + col
 
     def build():
-        blocks = [_blocks(A[first].tocoo(), orbit_of, carrier, size)
-                  for A in (K, M)]
+        blocks = [_blocks(A, orbit_of, carrier, size)
+                  for A in (rows, M[first].tocoo())]
         sectors = []
         for irrep, (rho, basis, keep) in enumerate(zip(irreps, bases, keeps)):
             d = rho.shape[1]

@@ -4,10 +4,12 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 import polyspec as ps
 from polyspec import PolyhedronKind
 from polyspec import symmetry as sym
+from polyspec.mesh import face_grid, grid_index
 
 from conftest import CLUSTER_GAP, KINDS, span_distance
 
@@ -86,6 +88,72 @@ def test_sector_pencils_are_exactly_sparse(kind, r, bench):
     for s in sectors:
         assert np.all(s.K.data != 0) and np.all(s.M.data != 0)
     assert sum(s.K.nnz for s in sectors) <= 0.5 * K.nnz
+
+
+# the commuting pair of involutions through which the orbits' representative
+# rows of K reach the most entries, at every r >= 6 (the cube at even r):
+# the irreps with d >= 2 are built in its joint eigenbasis
+WALLS = {
+    PolyhedronKind.TETRAHEDRON: (5, 14),
+    PolyhedronKind.OCTAHEDRON: (4, 18),
+    PolyhedronKind.ICOSAHEDRON: (4, 22),
+    PolyhedronKind.CUBE: (5, 14),
+}
+# sum of nnz(L + U) over the sector factors at r=32 in the basis of _irreps
+# alone, which the wall basis cuts by 25% to 39%
+IRREP_BASIS_FILL = {
+    PolyhedronKind.TETRAHEDRON: 22454,
+    PolyhedronKind.OCTAHEDRON: 44790,
+    PolyhedronKind.ICOSAHEDRON: 109578,
+    PolyhedronKind.CUBE: 86484,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [8, 32])
+def test_split_builds_the_irreps_at_the_listed_walls(kind, r, bench):
+    a, b = WALLS[kind]
+    table = sym._table(kind)
+    assert table[a, a] == table[b, b] == 0 and table[a, b] == table[b, a]
+    walled = sym._irreps(kind, (a, b))
+    assert sym._irreps(kind, (a, b)) is walled
+    K, M = bench.matrices(kind, r)
+    for s in sym.split(K, M):
+        assert s.rho is walled[s.irrep]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_wall_basis_is_diagonal_at_the_walls(kind):
+    a, b = WALLS[kind]
+    table = sym._table(kind)
+    for rho, plain in zip(sym._irreps(kind, (a, b)), sym._irreps(kind)):
+        d = rho.shape[1]
+        assert rho.shape == plain.shape and not rho.flags.writeable
+        if d == 1:
+            assert rho is plain
+            continue
+        # exactly diagonal, with entries exactly +-1
+        assert np.array_equal(np.abs(rho[a]), np.eye(d))
+        assert np.array_equal(np.abs(rho[b]), np.eye(d))
+        assert np.array_equal(rho[0], np.eye(d))
+        assert np.abs(rho @ rho.transpose(0, 2, 1) - np.eye(d)).max() < 1e-13
+        assert np.abs(rho[table] - rho[:, None] @ rho[None, :]).max() < 1e-13
+        assert np.abs(np.trace(rho, axis1=1, axis2=2)
+                      - np.trace(plain, axis1=1, axis2=2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_wall_basis_cuts_the_factor_fill(kind, bench):
+    # the factors that eigen._lowest makes of the sector pencils
+    K, M = bench.matrices(kind, 32)
+    fill = 0
+    for s in sym.split(K, M):
+        if s.K.shape[0]:
+            lu = spla.splu(sparse.csc_matrix(s.K - ps.eigen._SHIFT * s.M),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+            fill += lu.L.nnz + lu.U.nnz
+    assert fill <= 0.8 * IRREP_BASIS_FILL[kind]
 
 
 # an elementary abelian 2-subgroup H of each label group, which the fallback
@@ -323,6 +391,38 @@ def test_dof_permutation_matches_planar_oracle(kind, r, bench):
     for sigma in sym.label_group(kind):
         assert np.array_equal(sym.dof_permutation(mesh, sigma),
                               planar_oracle(mesh, sigma))
+
+
+def grid_oracle(mesh, sigma):
+    """sigma's DOF permutation by looking up every face's grid points and
+    their images, with the image face's corners carrying the image labels,
+    in planar_lattice."""
+    net = mesh.net
+    face_of = {frozenset(f.labels): f for f in net.faces}
+    images = []
+    for f in net.faces:
+        image = face_of[frozenset(sigma[x] for x in f.labels)]
+        images.append([image.corners[image.labels.index(sigma[x])]
+                       for x in f.labels])
+    grid = face_grid([f.corners for f in net.faces] + images, mesh.resolution)
+    a, b = mesh.dof_of[grid_index(mesh.planar_lattice, grid)].reshape(2, -1)
+    perm = np.full(mesh.dof_count, -1)
+    perm[a] = b
+    assert np.array_equal(perm[a], b)
+    return perm
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 33])
+def test_dof_permutation_matches_grid_oracle(kind, r, bench):
+    # the image point's place in its face's list, read off its corner
+    # weights, is where the lookup finds it; the odd-r cube too, whose
+    # pencil is not invariant though its grid is
+    mesh = bench.mesh(kind, r)
+    for sigma in sym.label_group(kind):
+        want = grid_oracle(mesh, sigma)
+        assert np.array_equal(sym.dof_permutation(mesh, sigma), want)
+        assert np.array_equal(np.sort(want), np.arange(mesh.dof_count))
 
 
 def explicit_bases(sector, n):
